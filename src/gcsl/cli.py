@@ -86,30 +86,36 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _decide(system, w):
-    if isinstance(system, NcaSystem):
-        return nca_mod.decide(system, w)
-    return grammar_mod.member(system, w)
+def _accepted(system, text: str):
+    """Decide the word ``text`` on ``system``.  Returns the word and its
+    witness when accepted; prints a rejection and returns None; a budget
+    stop raises :class:`nca.BudgetExceededError`."""
+    try:
+        w = word(text)
+        if isinstance(system, NcaSystem):
+            decision = nca_mod.decide(system, w)
+        else:
+            decision = grammar_mod.member(system, w)
+    except ValueError as e:
+        raise _CliError(str(e))
+    if decision.status is Status.BUDGET_EXCEEDED:
+        raise nca_mod.BudgetExceededError(f"budget exceeded while deciding {text!r}")
+    if not decision.accepted:
+        print("rejected")
+        return None
+    return w, decision.witness
 
 
 def cmd_decide(args) -> int:
     system = _load(args.file)
-    try:
-        w = word(args.word)
-        decision = _decide(system, w)
-    except ValueError as e:
-        raise _CliError(str(e))
-    if decision.status is Status.BUDGET_EXCEEDED:
-        print("budget exceeded", file=sys.stderr)
-        return EXIT_BUDGET
-    if not decision.accepted:
-        print("rejected")
+    accepted = _accepted(system, args.word)
+    if accepted is None:
         return EXIT_NEGATIVE
     print("accepted")
     if args.trace:
         if not isinstance(system, NcaSystem):
             raise _CliError("--trace requires an nca input")
-        h = history_mod.from_moves(system, w, decision.witness)
+        h = history_mod.from_moves(system, *accepted)
         _emit(format_trace(h), args.trace)
     return EXIT_OK
 
@@ -145,18 +151,10 @@ def cmd_trace(args) -> int:
     system = _load(args.file)
     if not isinstance(system, NcaSystem):
         raise _CliError("trace requires an nca input")
-    try:
-        w = word(args.word)
-        decision = nca_mod.decide(system, w)
-    except ValueError as e:
-        raise _CliError(str(e))
-    if decision.status is Status.BUDGET_EXCEEDED:
-        print("budget exceeded", file=sys.stderr)
-        return EXIT_BUDGET
-    if not decision.accepted:
-        print("rejected")
+    accepted = _accepted(system, args.word)
+    if accepted is None:
         return EXIT_NEGATIVE
-    h = history_mod.from_moves(system, w, decision.witness)
+    h = history_mod.from_moves(system, *accepted)
     if args.canonical:
         h = history_mod.canonicalize(h)
     sys.stdout.write(format_trace(h))

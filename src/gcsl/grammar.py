@@ -17,9 +17,7 @@ from typing import Optional
 
 from .core import Anchor, Symbol, Word, anchor_ok, occurrences, splice
 from . import nca
-from .nca import Budget, Decision, Rule, Status
-
-ENUMERATION_GUARD = 12
+from .nca import ENUMERATION_GUARD, Budget, Decision, Rule, Status
 
 
 class Flavor(enum.Enum):
@@ -27,15 +25,8 @@ class Flavor(enum.Enum):
     EXTENDED = "extended"
 
 
-@dataclass(frozen=True)
-class Production:
-    lhs: Word
-    rhs: Word
-    anchor: Anchor = Anchor.NONE
-
-    def __post_init__(self):
-        object.__setattr__(self, "lhs", tuple(self.lhs))
-        object.__setattr__(self, "rhs", tuple(self.rhs))
+# a production is a rule read in the generating direction
+Production = Rule
 
 
 @dataclass(frozen=True)
@@ -47,12 +38,7 @@ class Grammar:
     flavor: Flavor = Flavor.STANDARD
 
     def __post_init__(self):
-        seen, unique = set(), []
-        for p in self.productions:
-            if p not in seen:
-                seen.add(p)
-                unique.append(p)
-        object.__setattr__(self, "productions", tuple(unique))
+        object.__setattr__(self, "productions", tuple(dict.fromkeys(self.productions)))
 
     @property
     def alphabet(self) -> frozenset[Symbol]:
@@ -108,9 +94,9 @@ def _require_growing(g: Grammar):
 def derive_successors(g: Grammar, sentential: Word) -> list[Word]:
     """All words reachable from ``sentential`` by one production, deduplicated."""
     out = set()
-    for p in g.productions:
-        for pos in occurrences(sentential, p.lhs, p.anchor):
-            out.add(splice(sentential, pos, len(p.lhs), p.rhs))
+    for m in nca._moves(g.productions, sentential):
+        p = g.productions[m.rule_index]
+        out.add(splice(sentential, m.position, len(p.lhs), p.rhs))
     return sorted(out)
 
 
@@ -202,17 +188,5 @@ def language_by_member(g: Grammar, max_len: int, *,
                        guard: int = ENUMERATION_GUARD) -> set[Word]:
     """Language up to ``max_len`` via the backward-search membership test,
     sharing one memo set across all queried words."""
-    if max_len > guard:
-        raise ValueError(f"max_len {max_len} exceeds enumeration guard {guard}")
-    _require_growing(g)
-    letters = sorted(g.terminals)
-    memo: set = set()
-    out: set[Word] = set()
-    for n in range(max_len + 1):
-        for combo in itertools.product(letters, repeat=n):
-            d = member(g, combo, budget, memo=memo)
-            if d.status is Status.BUDGET_EXCEEDED:
-                raise nca.BudgetExceededError(f"budget exceeded while deciding {combo}")
-            if d.accepted:
-                out.add(combo)
-    return out
+    return nca._enumerate(g.terminals, max_len, guard,
+                          lambda w, memo: member(g, w, budget, memo=memo))

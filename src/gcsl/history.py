@@ -134,10 +134,12 @@ def geometry(h: History) -> Geometry:
     return Geometry(tuple(widths), tuple(gens), tuple(intervals), tuple(lines))
 
 
-def _closure(n: int, direct: set[tuple[int, int]]) -> list[list[bool]]:
+def _closure(succ: list[list[int]]) -> list[list[bool]]:
+    n = len(succ)
     reach = [[False] * n for _ in range(n)]
-    for i, j in direct:
-        reach[i][j] = True
+    for i, out in enumerate(succ):
+        for j in out:
+            reach[i][j] = True
     # events are in temporal order, so edges only go forward
     for k in range(n):
         rk = reach[k]
@@ -179,37 +181,61 @@ class Precedence:
 def precedence(h: History) -> Precedence:
     """Partial order generated by "consumes a letter produced by"."""
     n = len(h.events)
-    direct = set()
+    succ: list[list[int]] = [[] for _ in range(n)]
     for i, e1 in enumerate(h.events):
         produced = set(e1.produced)
         if not produced:
             continue
         for j in range(i + 1, n):
             if produced & set(h.events[j].consumed):
-                direct.add((i, j))
-    reach = _closure(n, direct)
+                succ[i].append(j)
+    reach = _closure(succ)
     geo = geometry(h)
     return Precedence(
-        direct=frozenset(direct),
+        direct=frozenset((i, j) for i, out in enumerate(succ) for j in out),
         before=tuple(tuple(r) for r in reach),
         lines=geo.lines,
         rule_indices=tuple(e.rule_index for e in h.events),
     )
 
 
-def _dependency_closure(h: History) -> list[list[bool]]:
-    """Closure of the overlap order: an earlier event blocks a later one
-    when their line interiors overlap horizontally."""
-    lines = geometry(h).lines
-    n = len(h.events)
-    direct = set()
+def _overlaps(lines: tuple[Interval, ...]) -> list[list[int]]:
+    """Direct edges of the dependency order, as successor lists: an earlier
+    event blocks a later one when their line interiors overlap horizontally."""
+    n = len(lines)
+    succ: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         lo1, hi1 = lines[i]
         for j in range(i + 1, n):
             lo2, hi2 = lines[j]
             if lo1 < hi2 and lo2 < hi1:
-                direct.add((i, j))
-    return _closure(n, direct)
+                succ[i].append(j)
+    return succ
+
+
+def _dependency_closure(h: History) -> list[list[bool]]:
+    """Closure of the overlap order."""
+    return _closure(_overlaps(geometry(h).lines))
+
+
+def _topological(succ: list[list[int]], key):
+    """Kahn's algorithm: yield each event once all its direct predecessors
+    have been yielded, always the available one minimising ``key``, which
+    is re-read at every step.  An event is available exactly when all its
+    transitive predecessors have been yielded, so no closure is needed."""
+    preds = [0] * len(succ)
+    for out in succ:
+        for k in out:
+            preds[k] += 1
+    avail = [j for j, p in enumerate(preds) if p == 0]
+    while avail:
+        j = min(avail, key=key)
+        avail.remove(j)
+        yield j
+        for k in succ[j]:
+            preds[k] -= 1
+            if preds[k] == 0:
+                avail.append(k)
 
 
 def _rebuild(h: History, order) -> History:
@@ -287,22 +313,10 @@ def canonicalize(h: History) -> History:
     """The unique equivalent history ordering independent substitutions
     left-before-right.  Idempotent, and constant on swap-equivalence
     classes."""
-    n = len(h.events)
-    dep = _dependency_closure(h)
     lines = geometry(h).lines
-    preds = [sum(dep[i][j] for i in range(n)) for j in range(n)]
-    emitted = [False] * n
-    order = []
-    for _ in range(n):
-        avail = [j for j in range(n) if not emitted[j] and preds[j] == 0]
-        # available events have pairwise disjoint line interiors, so the
-        # left endpoint alone is decisive; rule index is a formal tie-break
-        j = min(avail, key=lambda j: (lines[j][0], h.events[j].rule_index))
-        emitted[j] = True
-        order.append(j)
-        for k in range(n):
-            if dep[j][k]:
-                preds[k] -= 1
+    # available events have pairwise disjoint line interiors, so the left
+    # endpoint alone is decisive; rule index is a formal tie-break
+    order = _topological(_overlaps(lines), lambda j: (lines[j][0], h.events[j].rule_index))
     return _renumber(_rebuild(h, order))
 
 
@@ -324,7 +338,8 @@ def reorder_with_swaps(h: History, first, second) -> tuple[History, list[int]]:
             raise IndexError(f"no event {s}")
     if first & second:
         raise ValueError("event sets overlap")
-    dep = _dependency_closure(h)
+    succ = _overlaps(geometry(h).lines)
+    dep = _closure(succ)
     for a in first:
         for b in second:
             if dep[a][b] or dep[b][a]:
@@ -332,27 +347,17 @@ def reorder_with_swaps(h: History, first, second) -> tuple[History, list[int]]:
 
     # target order: emit available first-set events eagerly, hold the
     # second set back until the first set is exhausted
-    preds = [sum(dep[i][j] for i in range(n)) for j in range(n)]
-    emitted = [False] * n
     remaining_first = set(first)
+
+    def rank(j):
+        if j in first:
+            return (0, j)
+        return (2 if j in second and remaining_first else 1, j)
+
     target = []
-    for _ in range(n):
-        avail = [j for j in range(n) if not emitted[j] and preds[j] == 0]
-        def rank(j):
-            if j in first:
-                group = 0
-            elif j in second:
-                group = 2 if remaining_first else 1
-            else:
-                group = 1
-            return (group, j)
-        j = min(avail, key=rank)
-        emitted[j] = True
+    for j in _topological(succ, rank):
         remaining_first.discard(j)
         target.append(j)
-        for k in range(n):
-            if dep[j][k]:
-                preds[k] -= 1
 
     # realise the target order by bubbling each event left in turn
     perm = list(range(n))

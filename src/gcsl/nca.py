@@ -55,12 +55,7 @@ class NcaSystem:
 
     def __post_init__(self):
         # duplicate rules are permitted on input but collapse to one
-        seen, unique = set(), []
-        for r in self.rules:
-            if r not in seen:
-                seen.add(r)
-                unique.append(r)
-        object.__setattr__(self, "rules", tuple(unique))
+        object.__setattr__(self, "rules", tuple(dict.fromkeys(self.rules)))
 
 
 class Status(enum.Enum):
@@ -95,13 +90,18 @@ def validate(sys: NcaSystem) -> list[str]:
     return violations
 
 
-def legal_moves(sys: NcaSystem, w: Word) -> list[Move]:
+def _moves(rules: tuple[Rule, ...], w: Word) -> list[Move]:
     """All applicable (rule, position) pairs, in lexicographic order."""
     moves = []
-    for i, r in enumerate(sys.rules):
+    for i, r in enumerate(rules):
         for pos in occurrences(w, r.lhs, r.anchor):
             moves.append(Move(i, pos))
     return moves
+
+
+def legal_moves(sys: NcaSystem, w: Word) -> list[Move]:
+    """All applicable (rule, position) pairs, in lexicographic order."""
+    return _moves(sys.rules, w)
 
 
 def apply_move(sys: NcaSystem, w: Word, m: Move) -> Word:
@@ -121,40 +121,45 @@ def _search(
 ) -> Decision:
     """Exhaustive DFS over rule applications, shared by NCA decide and
     grammar membership.  ``memo`` collects words from which no goal is
-    reachable and may be shared across calls on the same rule set."""
-    nodes = [0]
-
-    def dfs(word: Word):
-        if is_goal(word):
-            return ()
-        if word in memo:
-            return None
-        nodes[0] += 1
-        if nodes[0] > budget.max_nodes:
-            raise BudgetExceededError("node budget exceeded")
-        moves = []
-        for i, r in enumerate(rules):
-            for pos in occurrences(word, r.lhs, r.anchor):
-                moves.append(Move(i, pos))
-        if shuffle is not None:
-            shuffle(moves)
-        for m in moves:
-            r = rules[m.rule_index]
-            tail = dfs(splice(word, m.position, len(r.lhs), r.rhs))
-            if tail is not None:
-                return (m,) + tail
-        if len(memo) >= budget.max_memo:
-            raise BudgetExceededError("memo budget exceeded")
-        memo.add(word)
-        return None
-
-    try:
-        witness = dfs(w)
-    except BudgetExceededError:
-        return Decision(Status.BUDGET_EXCEEDED)
-    if witness is None:
+    reachable and may be shared across calls on the same rule set.  The
+    path lives on an explicit stack, so no recursion limit bounds its depth."""
+    if is_goal(w):
+        return Decision(Status.ACCEPTED, ())
+    if w in memo:
         return Decision(Status.REJECTED)
-    return Decision(Status.ACCEPTED, witness)
+    nodes = 0
+    stack: list = []  # (word, iterator over its untried moves), root first
+    path: list[Move] = []  # the move leading to each stack entry but the root
+    word = w  # the next word to expand, if any
+    while True:
+        if word is not None:
+            nodes += 1
+            if nodes > budget.max_nodes:
+                return Decision(Status.BUDGET_EXCEEDED)
+            moves = _moves(rules, word)
+            if shuffle is not None:
+                shuffle(moves)
+            stack.append((word, iter(moves)))
+        parent, untried = stack[-1]
+        word = None
+        for m in untried:
+            r = rules[m.rule_index]
+            child = splice(parent, m.position, len(r.lhs), r.rhs)
+            if is_goal(child):
+                path.append(m)
+                return Decision(Status.ACCEPTED, tuple(path))
+            if child not in memo:
+                path.append(m)
+                word = child
+                break
+        else:
+            if len(memo) >= budget.max_memo:
+                return Decision(Status.BUDGET_EXCEEDED)
+            memo.add(parent)
+            stack.pop()
+            if not stack:
+                return Decision(Status.REJECTED)
+            path.pop()
 
 
 def decide(
@@ -190,6 +195,27 @@ def decide_over_working(
     return _search(sys.rules, w, lambda word: not word, budget, memo, shuffle)
 
 
+def _enumerate(
+    terminals, max_len: int, guard: int, accepts: Callable[[Word, set], Decision]
+) -> set[Word]:
+    """All words over ``terminals`` of length at most ``max_len`` that
+    ``accepts(word, memo)`` accepts.  Words are queried in shortlex order
+    and share one memo set."""
+    if max_len > guard:
+        raise ValueError(f"max_len {max_len} exceeds enumeration guard {guard}")
+    letters = sorted(terminals)
+    memo: set = set()
+    out: set[Word] = set()
+    for n in range(max_len + 1):
+        for combo in itertools.product(letters, repeat=n):
+            d = accepts(combo, memo)
+            if d.status is Status.BUDGET_EXCEEDED:
+                raise BudgetExceededError(f"budget exceeded while deciding {combo}")
+            if d.accepted:
+                out.add(combo)
+    return out
+
+
 def enumerate_language(
     sys: NcaSystem,
     max_len: int,
@@ -198,16 +224,5 @@ def enumerate_language(
     guard: int = ENUMERATION_GUARD,
 ) -> set[Word]:
     """All accepted terminal words of length at most ``max_len``."""
-    if max_len > guard:
-        raise ValueError(f"max_len {max_len} exceeds enumeration guard {guard}")
-    letters = sorted(sys.alphabet.terminals)
-    memo: set = set()
-    out: set[Word] = set()
-    for n in range(max_len + 1):
-        for combo in itertools.product(letters, repeat=n):
-            d = decide(sys, combo, budget, memo=memo)
-            if d.status is Status.BUDGET_EXCEEDED:
-                raise BudgetExceededError(f"budget exceeded while deciding {combo}")
-            if d.accepted:
-                out.add(combo)
-    return out
+    return _enumerate(sys.alphabet.terminals, max_len, guard,
+                      lambda w, memo: decide(sys, w, budget, memo=memo))

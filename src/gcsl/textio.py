@@ -111,25 +111,29 @@ def parse_system(text: str, *, check: bool = True):
         else:
             raise ParseError(f"expected 'key: value' header, got {line!r}", lineno, 1)
 
-    def take(key, required=True):
+    def take(key):
+        """The value of a required header, and its line number."""
         if key not in headers:
-            if required:
-                raise ParseError(f"missing header {key!r}")
-            return None
-        return headers.pop(key)[0]
+            raise ParseError(f"missing header {key!r}")
+        return headers.pop(key)
 
-    kind = take("kind")
+    kind, _ = take("kind")
     if kind not in ("nca", "gcsg", "egcsg"):
         raise ParseError(f"unknown kind {kind!r}")
 
     if kind == "nca":
         if body_key not in (None, "rules"):
             raise ParseError(f"kind nca expects a 'rules:' section, got '{body_key}:'")
-        terminals = _parse_word(take("terminals").split(), None)
-        working = _parse_word(take("alphabet").split(), None)
+        terminals_text, terminals_line = take("terminals")
+        terminals = _parse_word(terminals_text.split(), None)
+        working = _parse_word(take("alphabet")[0].split(), None)
         _reject_unknown(headers)
         rules = tuple(Rule(*_parse_rule_line(line, no)) for line, no in body)
-        system = NcaSystem(Alphabet(frozenset(terminals), frozenset(working)), rules)
+        try:
+            alphabet = Alphabet(frozenset(terminals), frozenset(working))
+        except ValueError as e:
+            raise ParseError(str(e), terminals_line)
+        system = NcaSystem(alphabet, rules)
         if check:
             violations = nca_mod.validate(system)
             if violations:
@@ -138,10 +142,13 @@ def parse_system(text: str, *, check: bool = True):
 
     if body_key not in (None, "productions"):
         raise ParseError(f"kind {kind} expects a 'productions:' section, got '{body_key}:'")
-    terminals = _parse_word(take("terminals").split(), None)
-    nonterminals = _parse_word(take("nonterminals").split(), None)
-    start = take("start")
-    check_symbol(start)
+    terminals = _parse_word(take("terminals")[0].split(), None)
+    nonterminals = _parse_word(take("nonterminals")[0].split(), None)
+    start, start_line = take("start")
+    try:
+        check_symbol(start)
+    except ValueError as e:
+        raise ParseError(str(e), start_line)
     _reject_unknown(headers)
     productions = tuple(Production(*_parse_rule_line(line, no)) for line, no in body)
     g = Grammar(
@@ -189,7 +196,7 @@ def serialize_system(sys) -> str:
     return "\n".join(lines) + "\n"
 
 
-def language(system, max_len: int, *, guard: int = 12) -> set[Word]:
+def language(system, max_len: int, *, guard: int = nca_mod.ENUMERATION_GUARD) -> set[Word]:
     """Enumerated language of either kind of system up to ``max_len``."""
     if isinstance(system, NcaSystem):
         return nca_mod.enumerate_language(system, max_len, guard=guard)
@@ -202,7 +209,7 @@ def shortlex_key(w: Word):
     return (len(w), w)
 
 
-def first_difference(a, b, max_len: int, *, guard: int = 12):
+def first_difference(a, b, max_len: int, *, guard: int = nca_mod.ENUMERATION_GUARD):
     """First word (shortlex, so the empty word first) on which the two
     systems' languages up to ``max_len`` disagree, or None if equal."""
     la = language(a, max_len, guard=guard)

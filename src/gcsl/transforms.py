@@ -18,7 +18,7 @@ import itertools
 
 from .core import Alphabet, Anchor, Symbol, Word
 from .grammar import Flavor, Grammar, Production, validate as validate_grammar
-from .nca import NcaSystem, Rule
+from .nca import NcaSystem, Rule, validate as validate_nca
 
 TILDE = "~"
 CARET = "^"
@@ -106,25 +106,21 @@ def deanchor(g: Grammar) -> Grammar:
             return (both[w[0]],)
         return mark_l(mark_r(w))
 
+    # the decorated copies issued for a non-start production, by anchor
+    marks = {
+        Anchor.NONE: (lambda w: w, mark_l, mark_r, mark_lr),
+        Anchor.LEFT: (mark_l, mark_lr),
+        Anchor.RIGHT: (mark_r, mark_lr),
+        Anchor.BOTH: (mark_lr,),
+    }
     sigma_lhs = (sigma,)
     productions = []
     for p in g.productions:
         u, v = p.lhs, p.rhs
         if u == sigma_lhs:
             productions.append(Production(u, mark_lr(v)))
-        elif p.anchor is Anchor.NONE:
-            productions.append(Production(u, v))
-            productions.append(Production(mark_l(u), mark_l(v)))
-            productions.append(Production(mark_r(u), mark_r(v)))
-            productions.append(Production(mark_lr(u), mark_lr(v)))
-        elif p.anchor is Anchor.LEFT:
-            productions.append(Production(mark_l(u), mark_l(v)))
-            productions.append(Production(mark_lr(u), mark_lr(v)))
-        elif p.anchor is Anchor.RIGHT:
-            productions.append(Production(mark_r(u), mark_r(v)))
-            productions.append(Production(mark_lr(u), mark_lr(v)))
-        else:  # both
-            productions.append(Production(mark_lr(u), mark_lr(v)))
+        else:
+            productions.extend(Production(mark(u), mark(v)) for mark in marks[p.anchor])
     return Grammar(
         nonterminals=g.nonterminals | frozenset(new_names),
         terminals=g.terminals,
@@ -166,13 +162,22 @@ def _fresh_start(taken) -> Symbol:
     return f"S{i}"
 
 
+# how a context production re-grows an erased word v beside a neighbour x,
+# by the erasing rule's anchor, which the production keeps: x -> x v puts v
+# after x, x -> v x before it
+_ERASING_CONTEXT = {
+    Anchor.NONE: (lambda x, v: (x,) + v, lambda x, v: v + (x,)),
+    Anchor.LEFT: (lambda x, v: v + (x,),),
+    Anchor.RIGHT: (lambda x, v: (x,) + v,),
+    Anchor.BOTH: (),
+}
+
+
 def nca_to_extended_gcsg(sys: NcaSystem, start: Symbol | None = None) -> Grammar:
     """The extended-grammar intermediate of the system-to-grammar
     conversion.  Erasing rules are compensated by context productions
     x -> xv / x -> vx over the whole working alphabet."""
-    from . import nca as _nca
-
-    violations = _nca.validate(sys)
+    violations = validate_nca(sys)
     if violations:
         raise ValueError("invalid system: " + "; ".join(violations))
     working = sys.alphabet.working
@@ -189,21 +194,11 @@ def nca_to_extended_gcsg(sys: NcaSystem, start: Symbol | None = None) -> Grammar
         v, u = r.lhs, r.rhs
         if u != ():
             productions.append(Production(u, v, r.anchor))
-        elif r.anchor is Anchor.NONE:
-            for x in order:
-                productions.append(Production((x,), (x,) + v))
-                productions.append(Production((x,), v + (x,)))
-            productions.append(Production((sigma,), v))
-        elif r.anchor is Anchor.LEFT:
-            for x in order:
-                productions.append(Production((x,), v + (x,), Anchor.LEFT))
-            productions.append(Production((sigma,), v))
-        elif r.anchor is Anchor.RIGHT:
-            for x in order:
-                productions.append(Production((x,), (x,) + v, Anchor.RIGHT))
-            productions.append(Production((sigma,), v))
-        else:  # both
-            productions.append(Production((sigma,), v))
+            continue
+        for x in order:
+            for grow in _ERASING_CONTEXT[r.anchor]:
+                productions.append(Production((x,), grow(x, v), r.anchor))
+        productions.append(Production((sigma,), v))
     return Grammar(
         nonterminals=(working - terminals) | {sigma},
         terminals=terminals,

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from gcsl import history
+from gcsl import history, nca
 from gcsl.core import Alphabet, Anchor, word
 from gcsl.nca import Move, NcaSystem, Rule
+
+from conftest import load
+from test_acceptance import random_history
 
 
 def make(rules, terminals="a b", working=None):
@@ -141,6 +144,35 @@ class TestCanonicalize:
         h = history.from_moves(fg2, word("b a A B"), [(0, 1), (2, 0)])
         c = history.canonicalize(h)
         assert history.canonicalize(c) == c
+
+    def test_matches_closure_reference(self):
+        # reference order: each step recounts, from the full dependency
+        # closure, which events are still blocked
+        def reference(h):
+            n = len(h.events)
+            dep = history._dependency_closure(h)
+            lines = history.geometry(h).lines
+            emitted, order = set(), []
+            for _ in range(n):
+                avail = [j for j in range(n) if j not in emitted
+                         and not any(dep[i][j] for i in range(n) if i not in emitted)]
+                j = min(avail, key=lambda j: (lines[j][0], h.events[j].rule_index))
+                emitted.add(j)
+                order.append(j)
+            return history._renumber(history._rebuild(h, order))
+
+        rng = random.Random(600)
+        for _ in range(300):
+            h = random_history(rng)
+            assert history.canonicalize(h) == reference(h)
+        # erasing rules, where the dependency order is wider than precedence
+        fg2 = load("fg2.nca")
+        for _ in range(30):
+            u = [rng.choice("aAbB") for _ in range(rng.randint(1, 12))]
+            w = tuple(u) + tuple(s.swapcase() for s in reversed(u))
+            d = nca.decide(fg2, w, shuffle=rng.shuffle)
+            h = history.from_moves(fg2, w, d.witness)
+            assert history.canonicalize(h) == reference(h)
 
     def test_random_scrambles_agree(self, pair_system):
         rng = random.Random(7)

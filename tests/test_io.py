@@ -54,6 +54,8 @@ class TestParse:
             ("kind: nca\nterminals: a\nalphabet: a\nrules:\n_ -> _\n", "empty left hand side", 5),
             ("nonsense\n", "expected 'key: value'", 1),
             ("kind: gcsg\nterminals: a\nnonterminals: S\nstart: S\nrules:\n", "expects a 'productions:'", None),
+            ("kind: gcsg\nterminals: a\nnonterminals: S\nstart: _\nproductions:\n", "reserved for the empty word", 4),
+            ("kind: nca\nterminals: a b\nalphabet: a\nrules:\n", "terminals not in working alphabet", 2),
         ],
     )
     def test_errors_carry_location(self, text, fragment, line):

@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsl import nca
+from gcsl import cli, nca
 from gcsl.core import Alphabet, Anchor, word
 from gcsl.nca import Budget, Move, NcaSystem, Rule, Status
 
-from conftest import load
+from conftest import FIXTURES, load
 
 
 def make(rules, terminals="a b", working=None):
@@ -86,6 +86,17 @@ class TestDecide:
     def test_budget_exceeded_is_distinct(self, fg2):
         d = nca.decide(fg2, word("a A a A a A"), Budget(max_nodes=2))
         assert d.status is Status.BUDGET_EXCEEDED
+
+    def test_deep_accepted_word(self, fg2, capsys):
+        # a witness 1 200 moves long, deeper than the interpreter's default
+        # recursion limit
+        rng = random.Random(2400)
+        u = [rng.choice("aAbB") for _ in range(1200)]
+        w = tuple(u) + tuple(s.swapcase() for s in reversed(u))
+        d = nca.decide(fg2, w)
+        assert d.accepted and len(d.witness) == 1200
+        assert cli.main(["decide", str(FIXTURES / "fg2.nca"), " ".join(w)]) == 0
+        assert capsys.readouterr().out == "accepted\n"
 
     def test_witness_replays_to_empty(self, fg2):
         w = word("a b B A")
