@@ -32,11 +32,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _load(path: str, *, check: bool = True):
+def _load(path: str):
     with open(path, encoding="utf-8") as f:
         text = f.read()
     try:
-        return parse_system(text, check=check)
+        return parse_system(text)
     except (ParseError, ValidationError) as e:
         raise _CliError(f"{path}: {e}")
 

@@ -11,6 +11,7 @@ independent oracle.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -43,6 +44,29 @@ class Grammar:
     @property
     def alphabet(self) -> frozenset[Symbol]:
         return self.nonterminals | self.terminals
+
+    @functools.cached_property
+    def _backward(self) -> tuple[tuple[Rule, ...], frozenset[Word], bool]:
+        """The grammar read right to left, built once after the growing
+        check: one length-reducing rule per production, in production order
+        (a start production ``S -> v`` becomes ``v -> _ @both``, and
+        ``S -> _`` gives none), the words ``v`` (the backward-search goals),
+        and whether ``S -> _`` is a production.  A failed check caches
+        nothing, so it raises again on the next use."""
+        _require_growing(self)
+        sigma_lhs = (self.start,)
+        rules = []
+        goals = set()
+        eps = False
+        for p in self.productions:
+            if p.lhs != sigma_lhs:
+                rules.append(Rule(p.rhs, p.lhs, p.anchor))
+            elif p.rhs:
+                rules.append(Rule(p.rhs, (), Anchor.BOTH))
+                goals.add(p.rhs)
+            else:
+                eps = True
+        return tuple(rules), frozenset(goals), eps
 
 
 def validate(g: Grammar, *, growing: bool = True) -> list[str]:
@@ -100,14 +124,14 @@ def derive_successors(g: Grammar, sentential: Word) -> list[Word]:
     return sorted(out)
 
 
-def generate_language(g: Grammar, max_len: int, *, guard: int = ENUMERATION_GUARD) -> set[Word]:
+def generate_language(g: Grammar, max_len: int) -> set[Word]:
     """All terminal words of length <= max_len derivable from the start symbol.
 
     Breadth-first closure; pruning sentential forms longer than max_len is
     sound because non-start productions strictly grow.
     """
-    if max_len > guard:
-        raise ValueError(f"max_len {max_len} exceeds enumeration guard {guard}")
+    if max_len > ENUMERATION_GUARD:
+        raise ValueError(f"max_len {max_len} exceeds enumeration guard {ENUMERATION_GUARD}")
     _require_growing(g)
     sigma = g.start
     terminals = g.terminals
@@ -147,46 +171,29 @@ def generate_language(g: Grammar, max_len: int, *, guard: int = ENUMERATION_GUAR
     return out
 
 
-def _reversed_rules(g: Grammar) -> tuple[tuple[Rule, ...], set[Word], bool]:
-    """Non-start productions reversed into length-reducing rules, the rhs
-    words of start productions (the backward-search goals), and whether
-    the empty word is in the language."""
-    sigma_lhs = (g.start,)
-    rules = []
-    goals: set[Word] = set()
-    eps = False
-    for p in g.productions:
-        if p.lhs == sigma_lhs:
-            if p.rhs == ():
-                eps = True
-            else:
-                goals.add(p.rhs)
-        else:
-            rules.append(Rule(lhs=p.rhs, rhs=p.lhs, anchor=p.anchor))
-    return tuple(rules), goals, eps
-
-
 def member(g: Grammar, w: Word, budget: Budget = nca.DEFAULT_BUDGET,
            *, memo: Optional[set] = None) -> Decision:
-    """Is ``w`` in the language of ``g``?  Backward search: each non-start
-    production is run right-to-left as a length-reducing rule, accepting on
-    reaching the rhs of any start production."""
-    _require_growing(g)
+    """Is ``w`` in the language of ``g``?  Backward search: each production
+    is run right-to-left as a length-reducing rule, accepting on reaching
+    the rhs of any start production.  The witness indexes the rules of
+    :func:`gcsl.transforms.gcsg_to_nca`, which reads ``g`` the same way.
+    The ``@both`` rules of start productions never fire here: they match
+    only a goal word, and the search tests every word against the goals
+    before expanding it."""
+    rules, goals, eps = g._backward
     bad = [s for s in w if s not in g.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
-    rules, goals, eps = _reversed_rules(g)
     if w == ():
         return Decision(Status.ACCEPTED, ()) if eps else Decision(Status.REJECTED)
     if memo is None:
         memo = set()
-    return nca._search(rules, w, lambda word: word in goals, budget, memo, None)
+    return nca._search(rules, w, goals.__contains__, budget, memo, None)
 
 
 def language_by_member(g: Grammar, max_len: int, *,
-                       budget: Budget = nca.DEFAULT_BUDGET,
-                       guard: int = ENUMERATION_GUARD) -> set[Word]:
+                       budget: Budget = nca.DEFAULT_BUDGET) -> set[Word]:
     """Language up to ``max_len`` via the backward-search membership test,
     sharing one memo set across all queried words."""
-    return nca._enumerate(g.terminals, max_len, guard,
+    return nca._enumerate(g.terminals, max_len,
                           lambda w, memo: member(g, w, budget, memo=memo))

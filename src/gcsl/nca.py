@@ -196,13 +196,13 @@ def decide_over_working(
 
 
 def _enumerate(
-    terminals, max_len: int, guard: int, accepts: Callable[[Word, set], Decision]
+    terminals, max_len: int, accepts: Callable[[Word, set], Decision]
 ) -> set[Word]:
     """All words over ``terminals`` of length at most ``max_len`` that
     ``accepts(word, memo)`` accepts.  Words are queried in shortlex order
     and share one memo set."""
-    if max_len > guard:
-        raise ValueError(f"max_len {max_len} exceeds enumeration guard {guard}")
+    if max_len > ENUMERATION_GUARD:
+        raise ValueError(f"max_len {max_len} exceeds enumeration guard {ENUMERATION_GUARD}")
     letters = sorted(terminals)
     memo: set = set()
     out: set[Word] = set()
@@ -221,8 +221,7 @@ def enumerate_language(
     max_len: int,
     *,
     budget: Budget = DEFAULT_BUDGET,
-    guard: int = ENUMERATION_GUARD,
 ) -> set[Word]:
     """All accepted terminal words of length at most ``max_len``."""
-    return _enumerate(sys.alphabet.terminals, max_len, guard,
+    return _enumerate(sys.alphabet.terminals, max_len,
                       lambda w, memo: decide(sys, w, budget, memo=memo))

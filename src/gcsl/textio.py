@@ -196,12 +196,12 @@ def serialize_system(sys) -> str:
     return "\n".join(lines) + "\n"
 
 
-def language(system, max_len: int, *, guard: int = nca_mod.ENUMERATION_GUARD) -> set[Word]:
+def language(system, max_len: int) -> set[Word]:
     """Enumerated language of either kind of system up to ``max_len``."""
     if isinstance(system, NcaSystem):
-        return nca_mod.enumerate_language(system, max_len, guard=guard)
+        return nca_mod.enumerate_language(system, max_len)
     if isinstance(system, Grammar):
-        return grammar_mod.generate_language(system, max_len, guard=guard)
+        return grammar_mod.generate_language(system, max_len)
     raise TypeError(f"not a system: {type(system).__name__}")
 
 
@@ -209,11 +209,11 @@ def shortlex_key(w: Word):
     return (len(w), w)
 
 
-def first_difference(a, b, max_len: int, *, guard: int = nca_mod.ENUMERATION_GUARD):
+def first_difference(a, b, max_len: int):
     """First word (shortlex, so the empty word first) on which the two
     systems' languages up to ``max_len`` disagree, or None if equal."""
-    la = language(a, max_len, guard=guard)
-    lb = language(b, max_len, guard=guard)
+    la = language(a, max_len)
+    lb = language(b, max_len)
     diff = la ^ lb
     if not diff:
         return None

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 
 from .core import Alphabet, Anchor, Symbol, Word
-from .grammar import Flavor, Grammar, Production, validate as validate_grammar
-from .nca import NcaSystem, Rule, validate as validate_nca
+from .grammar import Flavor, Grammar, Production, _require_growing
+from .nca import NcaSystem, validate as validate_nca
 
 TILDE = "~"
 CARET = "^"
@@ -51,9 +51,7 @@ def eliminate_terminals(g: Grammar) -> Grammar:
     terminals.  Each terminal gains a tilde-decorated nonterminal twin;
     every rhs terminal occurrence is optionally replaced, so a production
     with k terminal occurrences on the right becomes 2^k productions."""
-    violations = validate_grammar(g)
-    if violations:
-        raise ValueError("invalid grammar: " + "; ".join(violations))
+    _require_growing(g)
     terminals = g.terminals
     twins = {x: tilde(x) for x in terminals}
     _fresh_or_die(twins.values(), g.alphabet)
@@ -134,23 +132,13 @@ def gcsg_to_nca(g: Grammar) -> NcaSystem:
     """Reverse a standard growing grammar (with the empty word in its
     language) into an equivalent length-reducing system: start productions
     become both-anchored erasing rules, everything else runs backwards."""
-    violations = validate_grammar(g)
-    if violations:
-        raise ValueError("invalid grammar: " + "; ".join(violations))
+    rules, _, eps = g._backward
     if g.flavor is not Flavor.STANDARD:
         raise ValueError("gcsg_to_nca requires a standard (anchor-free) grammar")
-    sigma_lhs = (g.start,)
-    if Production(sigma_lhs, ()) not in g.productions:
+    if not eps:
         raise ValueError("grammar must contain the start -> empty word production")
-    rules = []
-    for p in g.productions:
-        if p.lhs == sigma_lhs:
-            if p.rhs != ():
-                rules.append(Rule(lhs=p.rhs, rhs=(), anchor=Anchor.BOTH))
-        else:
-            rules.append(Rule(lhs=p.rhs, rhs=p.lhs))
     working = g.terminals | (g.nonterminals - {g.start})
-    return NcaSystem(Alphabet(g.terminals, frozenset(working)), tuple(rules))
+    return NcaSystem(Alphabet(g.terminals, frozenset(working)), rules)
 
 
 def _fresh_start(taken) -> Symbol:
@@ -173,7 +161,7 @@ _ERASING_CONTEXT = {
 }
 
 
-def nca_to_extended_gcsg(sys: NcaSystem, start: Symbol | None = None) -> Grammar:
+def nca_to_extended_gcsg(sys: NcaSystem) -> Grammar:
     """The extended-grammar intermediate of the system-to-grammar
     conversion.  Erasing rules are compensated by context productions
     x -> xv / x -> vx over the whole working alphabet."""
@@ -182,11 +170,7 @@ def nca_to_extended_gcsg(sys: NcaSystem, start: Symbol | None = None) -> Grammar
         raise ValueError("invalid system: " + "; ".join(violations))
     working = sys.alphabet.working
     terminals = sys.alphabet.terminals
-    if start is None:
-        start = _fresh_start(working)
-    elif start in working:
-        raise ValueError(f"start symbol {start} already in the working alphabet")
-    sigma = start
+    sigma = _fresh_start(working)
     order = sorted(working)
 
     productions = [Production((sigma,), ())]
@@ -208,10 +192,10 @@ def nca_to_extended_gcsg(sys: NcaSystem, start: Symbol | None = None) -> Grammar
     )
 
 
-def nca_to_gcsg(sys: NcaSystem, start: Symbol | None = None) -> Grammar:
+def nca_to_gcsg(sys: NcaSystem) -> Grammar:
     """Full system-to-grammar conversion: the extended intermediate,
     de-anchored into a standard growing grammar."""
-    return deanchor(nca_to_extended_gcsg(sys, start))
+    return deanchor(nca_to_extended_gcsg(sys))
 
 
 def reachable_symbols(g: Grammar) -> frozenset[Symbol]:

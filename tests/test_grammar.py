@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gcsl import grammar
+from gcsl import grammar, nca, transforms
 from gcsl.core import Anchor, word
 from gcsl.grammar import Flavor, Grammar, Production
 
@@ -127,3 +127,31 @@ class TestMember:
         assert grammar.language_by_member(anbn_grammar, 6) == grammar.generate_language(
             anbn_grammar, 6
         )
+
+    @pytest.mark.parametrize("fixture", ["anbn.gcsg", "dyck.gcsg"])
+    def test_witness_replays_on_gcsg_to_nca(self, fixture):
+        g = load(fixture)
+        sys = transforms.gcsg_to_nca(g)
+        goals = {p.rhs for p in g.productions if p.lhs == (g.start,) and p.rhs}
+        letters = sorted(g.terminals)
+        for n in range(1, 9):
+            for w in itertools.product(letters, repeat=n):
+                d = grammar.member(g, w)
+                if d.accepted:
+                    for m in d.witness:
+                        w = nca.apply_move(sys, w, m)
+                    assert w in goals
+
+    def test_validates_once_per_grammar(self, anbn_grammar, monkeypatch):
+        calls = []
+        validate = grammar.validate
+        monkeypatch.setattr(grammar, "validate", lambda g, **kw: calls.append(g) or validate(g, **kw))
+        for w in (word("a b"), word("a a b"), ()):
+            grammar.member(anbn_grammar, w)
+        assert len(calls) == 1
+
+    def test_non_growing_raises_on_every_call(self):
+        g = make([Production(word("S"), word("T")), Production(word("T"), word("a"))])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not growing"):
+                grammar.member(g, word("a"))
