@@ -15,7 +15,7 @@ from . import history as history_mod
 from . import nca as nca_mod
 from . import transforms
 from .grammar import Grammar
-from .nca import NcaSystem, Status
+from .nca import DEFAULT_BUDGET, Budget, NcaSystem, Status
 from .textio import (
     ParseError,
     ValidationError,
@@ -86,16 +86,18 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
-def _accepted(system, text: str):
-    """Decide the word ``text`` on ``system``.  Returns the word and its
-    witness when accepted; prints a rejection and returns None; a budget
-    stop raises :class:`nca.BudgetExceededError`."""
+def _accepted(system, text: str, max_nodes: int):
+    """Decide the word ``text`` on ``system`` within ``max_nodes`` search
+    nodes.  Returns the word and its witness when accepted; prints a
+    rejection and returns None; a budget stop raises
+    :class:`nca.BudgetExceededError`."""
+    budget = Budget(max_nodes=max_nodes)
     try:
         w = word(text)
         if isinstance(system, NcaSystem):
-            decision = nca_mod.decide(system, w)
+            decision = nca_mod.decide(system, w, budget)
         else:
-            decision = grammar_mod.member(system, w)
+            decision = grammar_mod.member(system, w, budget)
     except ValueError as e:
         raise _CliError(str(e))
     if decision.status is Status.BUDGET_EXCEEDED:
@@ -108,7 +110,7 @@ def _accepted(system, text: str):
 
 def cmd_decide(args) -> int:
     system = _load(args.file)
-    accepted = _accepted(system, args.word)
+    accepted = _accepted(system, args.word, args.max_nodes)
     if accepted is None:
         return EXIT_NEGATIVE
     print("accepted")
@@ -151,7 +153,7 @@ def cmd_trace(args) -> int:
     system = _load(args.file)
     if not isinstance(system, NcaSystem):
         raise _CliError("trace requires an nca input")
-    accepted = _accepted(system, args.word)
+    accepted = _accepted(system, args.word, args.max_nodes)
     if accepted is None:
         return EXIT_NEGATIVE
     h = history_mod.from_moves(system, *accepted)
@@ -161,6 +163,18 @@ def cmd_trace(args) -> int:
     if args.diagram or sys.stdout.isatty():
         sys.stdout.write(format_diagram(h))
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
+    return int(text)
+
+
+def _add_max_nodes(p):
+    p.add_argument("--max-nodes", type=_positive_int, metavar="N",
+                   default=DEFAULT_BUDGET.max_nodes,
+                   help="stop the search after N nodes (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("word", help="whitespace-separated symbols, or _ for the empty word")
     p.add_argument("--trace", metavar="OUT", help="write a witness trace (nca only)")
+    _add_max_nodes(p)
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("enumerate", help="list the language up to a length bound")
@@ -205,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reorder independent substitutions left-first")
     p.add_argument("--diagram", action="store_true",
                    help="append the interval diagram even when piped")
+    _add_max_nodes(p)
     p.set_defaults(fn=cmd_trace)
     return parser
 

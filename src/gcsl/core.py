@@ -98,11 +98,15 @@ def occurrences(haystack: Word, needle: Word, anchor: Anchor = Anchor.NONE) -> l
         candidates = range(n - k, n - k + 1) if n >= k else range(0)
     else:
         candidates = range(n - k + 1)
-    out = []
-    for i in candidates:
-        if haystack[i:i + k] == needle and anchor_ok(anchor, i, k, n):
-            out.append(i)
-    return out
+    return [i for i in candidates if occurs_at(haystack, needle, i, anchor)]
+
+
+def occurs_at(haystack: Word, needle: Word, start: int, anchor: Anchor = Anchor.NONE) -> bool:
+    """Does ``needle`` occur at ``start`` in ``haystack``, honouring ``anchor``?
+    Looks at one window only; a negative ``start`` or one past the end is
+    no occurrence.  The needle must be non-empty."""
+    return (0 <= start and haystack[start:start + len(needle)] == needle
+            and anchor_ok(anchor, start, len(needle), len(haystack)))
 
 
 def splice(w: Word, at: int, remove_len: int, insert: Word) -> Word:

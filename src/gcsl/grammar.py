@@ -16,9 +16,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Anchor, Symbol, Word, anchor_ok, occurrences, splice
+from .core import Anchor, Symbol, Word, splice
 from . import nca
-from .nca import ENUMERATION_GUARD, Budget, Decision, Rule, Status
+from .nca import ENUMERATION_GUARD, Budget, Decision, Rule, RuleIndex, Status
 
 
 class Flavor(enum.Enum):
@@ -46,13 +46,18 @@ class Grammar:
         return self.nonterminals | self.terminals
 
     @functools.cached_property
-    def _backward(self) -> tuple[tuple[Rule, ...], frozenset[Word], bool]:
+    def _forward(self) -> RuleIndex:
+        """The productions indexed by left-hand side, built on first use."""
+        return nca.index_rules(self.productions)
+
+    @functools.cached_property
+    def _backward(self) -> tuple[RuleIndex, frozenset[Word], bool]:
         """The grammar read right to left, built once after the growing
-        check: one length-reducing rule per production, in production order
-        (a start production ``S -> v`` becomes ``v -> _ @both``, and
-        ``S -> _`` gives none), the words ``v`` (the backward-search goals),
-        and whether ``S -> _`` is a production.  A failed check caches
-        nothing, so it raises again on the next use."""
+        check: the index of one length-reducing rule per production, in
+        production order (a start production ``S -> v`` becomes
+        ``v -> _ @both``, and ``S -> _`` gives none), the words ``v`` (the
+        backward-search goals), and whether ``S -> _`` is a production.  A
+        failed check caches nothing, so it raises again on the next use."""
         _require_growing(self)
         sigma_lhs = (self.start,)
         rules = []
@@ -66,7 +71,7 @@ class Grammar:
                 goals.add(p.rhs)
             else:
                 eps = True
-        return tuple(rules), frozenset(goals), eps
+        return nca.index_rules(tuple(rules)), frozenset(goals), eps
 
 
 def validate(g: Grammar, *, growing: bool = True) -> list[str]:
@@ -118,7 +123,7 @@ def _require_growing(g: Grammar):
 def derive_successors(g: Grammar, sentential: Word) -> list[Word]:
     """All words reachable from ``sentential`` by one production, deduplicated."""
     out = set()
-    for m in nca._moves(g.productions, sentential):
+    for m in nca._moves(g._forward, sentential):
         p = g.productions[m.rule_index]
         out.add(splice(sentential, m.position, len(p.lhs), p.rhs))
     return sorted(out)
@@ -135,11 +140,7 @@ def generate_language(g: Grammar, max_len: int) -> set[Word]:
     _require_growing(g)
     sigma = g.start
     terminals = g.terminals
-
-    # index productions by lhs to keep the closure affordable
-    by_lhs: dict[Word, list[Production]] = {}
-    for p in g.productions:
-        by_lhs.setdefault(p.lhs, []).append(p)
+    index = g._forward
 
     start_word: Word = (sigma,)
     seen = {start_word}
@@ -154,19 +155,16 @@ def generate_language(g: Grammar, max_len: int) -> set[Word]:
                 out.add(w)
             if len(w) >= max_len and w != start_word:
                 continue  # every successor would exceed max_len
-            for lhs, prods in by_lhs.items():
-                for pos in occurrences(w, lhs):
-                    for p in prods:
-                        if not anchor_ok(p.anchor, pos, len(lhs), len(w)):
-                            continue
-                        w2 = splice(w, pos, len(lhs), p.rhs)
-                        if len(w2) > max_len:
-                            continue
-                        if w2 == ():
-                            out.add(w2)
-                        elif w2 not in seen:
-                            seen.add(w2)
-                            nxt.append(w2)
+            for m in nca._moves(index, w):
+                p = index.rules[m.rule_index]
+                w2 = splice(w, m.position, len(p.lhs), p.rhs)
+                if len(w2) > max_len:
+                    continue
+                if w2 == ():
+                    out.add(w2)
+                elif w2 not in seen:
+                    seen.add(w2)
+                    nxt.append(w2)
         frontier = nxt
     return out
 
@@ -180,7 +178,7 @@ def member(g: Grammar, w: Word, budget: Budget = nca.DEFAULT_BUDGET,
     The ``@both`` rules of start productions never fire here: they match
     only a goal word, and the search tests every word against the goals
     before expanding it."""
-    rules, goals, eps = g._backward
+    index, goals, eps = g._backward
     bad = [s for s in w if s not in g.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
@@ -188,7 +186,7 @@ def member(g: Grammar, w: Word, budget: Budget = nca.DEFAULT_BUDGET,
         return Decision(Status.ACCEPTED, ()) if eps else Decision(Status.REJECTED)
     if memo is None:
         memo = set()
-    return nca._search(rules, w, goals.__contains__, budget, memo, None)
+    return nca._search(index, w, goals.__contains__, budget, memo, None)
 
 
 def language_by_member(g: Grammar, max_len: int, *,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Word, occurrences
+from .core import Word, occurs_at
 from .nca import Move, NcaSystem
 
 
@@ -65,7 +65,7 @@ def from_moves(system: NcaSystem, start: Word, moves) -> History:
         m = Move(*m)
         rule = system.rules[m.rule_index]
         current = tuple(symbols[i] for i in row)
-        if m.position not in occurrences(current, rule.lhs, rule.anchor):
+        if not occurs_at(current, rule.lhs, m.position, rule.anchor):
             raise ValueError(f"illegal move {m} on {current}")
         k = len(rule.lhs)
         consumed = tuple(row[m.position:m.position + k])

@@ -10,11 +10,12 @@ terminates.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .core import Alphabet, Anchor, Word, occurrences, splice
+from .core import Alphabet, Anchor, Word, anchor_ok, occurs_at, splice
 
 ENUMERATION_GUARD = 12
 
@@ -48,6 +49,28 @@ class Move(NamedTuple):
     position: int
 
 
+class RuleIndex(NamedTuple):
+    """A rule tuple with its left-hand sides grouped by length: for each
+    length ``k``, ascending, a dict from each distinct left-hand side of
+    that length to the ``(rule_index, anchor)`` pairs of the rules that
+    have it."""
+
+    rules: tuple[Rule, ...]
+    by_length: tuple[tuple[int, dict[Word, tuple[tuple[int, Anchor], ...]]], ...]
+
+
+def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
+    """Index ``rules`` by left-hand side; every left-hand side must be
+    non-empty."""
+    tables: dict = {}
+    for i, r in enumerate(rules):
+        if not r.lhs:
+            raise ValueError(f"rule {i}: empty left hand side")
+        table = tables.setdefault(len(r.lhs), {})
+        table[r.lhs] = table.get(r.lhs, ()) + ((i, r.anchor),)
+    return RuleIndex(rules, tuple(sorted(tables.items())))
+
+
 @dataclass(frozen=True)
 class NcaSystem:
     alphabet: Alphabet
@@ -56,6 +79,11 @@ class NcaSystem:
     def __post_init__(self):
         # duplicate rules are permitted on input but collapse to one
         object.__setattr__(self, "rules", tuple(dict.fromkeys(self.rules)))
+
+    @functools.cached_property
+    def _index(self) -> RuleIndex:
+        """The rules indexed by left-hand side, built on first use."""
+        return index_rules(self.rules)
 
 
 class Status(enum.Enum):
@@ -90,29 +118,37 @@ def validate(sys: NcaSystem) -> list[str]:
     return violations
 
 
-def _moves(rules: tuple[Rule, ...], w: Word) -> list[Move]:
-    """All applicable (rule, position) pairs, in lexicographic order."""
+def _moves(index: RuleIndex, w: Word) -> list[Move]:
+    """All applicable (rule, position) pairs, in lexicographic order: one
+    dict lookup per window of each left-hand-side length."""
+    n = len(w)
     moves = []
-    for i, r in enumerate(rules):
-        for pos in occurrences(w, r.lhs, r.anchor):
-            moves.append(Move(i, pos))
+    for k, table in index.by_length:
+        # zipping k shifted copies of w yields its windows of length k
+        windows = zip(*[w[j:] for j in range(k)])
+        for pos, hits in enumerate(map(table.get, windows)):
+            if hits:
+                for i, anchor in hits:
+                    if anchor is Anchor.NONE or anchor_ok(anchor, pos, k, n):
+                        moves.append(Move(i, pos))
+    moves.sort()
     return moves
 
 
 def legal_moves(sys: NcaSystem, w: Word) -> list[Move]:
     """All applicable (rule, position) pairs, in lexicographic order."""
-    return _moves(sys.rules, w)
+    return _moves(sys._index, w)
 
 
 def apply_move(sys: NcaSystem, w: Word, m: Move) -> Word:
     rule = sys.rules[m.rule_index]
-    if m.position not in occurrences(w, rule.lhs, rule.anchor):
+    if not occurs_at(w, rule.lhs, m.position, rule.anchor):
         raise ValueError(f"illegal move {m} on {w}")
     return splice(w, m.position, len(rule.lhs), rule.rhs)
 
 
 def _search(
-    rules: tuple[Rule, ...],
+    index: RuleIndex,
     w: Word,
     is_goal: Callable[[Word], bool],
     budget: Budget,
@@ -123,6 +159,7 @@ def _search(
     grammar membership.  ``memo`` collects words from which no goal is
     reachable and may be shared across calls on the same rule set.  The
     path lives on an explicit stack, so no recursion limit bounds its depth."""
+    rules = index.rules
     if is_goal(w):
         return Decision(Status.ACCEPTED, ())
     if w in memo:
@@ -136,7 +173,7 @@ def _search(
             nodes += 1
             if nodes > budget.max_nodes:
                 return Decision(Status.BUDGET_EXCEEDED)
-            moves = _moves(rules, word)
+            moves = _moves(index, word)
             if shuffle is not None:
                 shuffle(moves)
             stack.append((word, iter(moves)))
@@ -192,7 +229,7 @@ def decide_over_working(
         raise ValueError(f"input symbols outside working alphabet: {sorted(set(bad))}")
     if memo is None:
         memo = set()
-    return _search(sys.rules, w, lambda word: not word, budget, memo, shuffle)
+    return _search(sys._index, w, lambda word: not word, budget, memo, shuffle)
 
 
 def _enumerate(

@@ -132,13 +132,13 @@ def gcsg_to_nca(g: Grammar) -> NcaSystem:
     """Reverse a standard growing grammar (with the empty word in its
     language) into an equivalent length-reducing system: start productions
     become both-anchored erasing rules, everything else runs backwards."""
-    rules, _, eps = g._backward
+    index, _, eps = g._backward
     if g.flavor is not Flavor.STANDARD:
         raise ValueError("gcsg_to_nca requires a standard (anchor-free) grammar")
     if not eps:
         raise ValueError("grammar must contain the start -> empty word production")
     working = g.terminals | (g.nonterminals - {g.start})
-    return NcaSystem(Alphabet(g.terminals, frozenset(working)), rules)
+    return NcaSystem(Alphabet(g.terminals, frozenset(working)), index.rules)
 
 
 def _fresh_start(taken) -> Symbol:

@@ -7,6 +7,7 @@ from gcsl.core import (
     anchor_ok,
     check_symbol,
     occurrences,
+    occurs_at,
     splice,
     word,
     word_str,
@@ -52,6 +53,13 @@ def test_occurrences_matches_naive_scan(haystack, needle, anchor):
         and anchor_ok(anchor, i, len(needle), len(haystack))
     ]
     assert occurrences(haystack, needle, anchor) == naive
+
+
+@given(words, needles, anchors)
+def test_occurs_at_agrees_with_occurrences(haystack, needle, anchor):
+    found = occurrences(haystack, needle, anchor)
+    for start in range(-len(needle) - 1, len(haystack) + 2):
+        assert occurs_at(haystack, needle, start, anchor) == (start in found)
 
 
 class TestSplice:

@@ -29,6 +29,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             history.from_moves(fg2, word("a b"), [Move(0, 0)])
 
+    @pytest.mark.parametrize("position", [-1, -2, 2, 3])
+    def test_from_moves_rejects_out_of_range(self, fg2, position):
+        with pytest.raises(ValueError, match="illegal move"):
+            history.from_moves(fg2, word("a A b"), [Move(0, position)])
+
     def test_words_and_rows(self, pair_system):
         h = history.from_moves(pair_system, word("a a b b"), [(0, 1), (1, 0)])
         assert history.words_of(h) == [word("a a b b"), word("a T b"), word("T")]

@@ -158,6 +158,21 @@ class TestCli:
     def test_decide_empty_word(self, capsys):
         assert cli.main(["decide", fx("anbn.gcsg"), "_"]) == 0
 
+    @pytest.mark.parametrize("command", ["decide", "trace"])
+    def test_max_nodes_bounds_the_search(self, command, capsys):
+        rejected = " ".join("r" * 40)
+        assert cli.main([command, fx("s3.nca"), rejected, "--max-nodes", "2000"]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+
+    def test_max_nodes_bounds_member(self, capsys):
+        assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b b", "--max-nodes", "1"]) == 3
+        assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b b", "--max-nodes", "10"]) == 0
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_max_nodes_below_one_is_usage_error(self, value, capsys):
+        assert cli.main(["decide", fx("fg2.nca"), "a A", "--max-nodes", value]) == 2
+        assert "--max-nodes" in capsys.readouterr().err
+
     def test_decide_trace_output(self, tmp_path, capsys):
         out = tmp_path / "trace.txt"
         assert cli.main(["decide", fx("fg2.nca"), "a A", "--trace", str(out)]) == 0

@@ -1,11 +1,12 @@
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsl import cli, nca
-from gcsl.core import Alphabet, Anchor, word
+from gcsl import cli, nca, transforms
+from gcsl.core import Alphabet, Anchor, occurrences, word
 from gcsl.nca import Budget, Move, NcaSystem, Rule, Status
 
 from conftest import FIXTURES, load
@@ -60,6 +61,86 @@ class TestMoves:
         sys = make([Rule(word("a b"), ())])
         with pytest.raises(ValueError):
             nca.apply_move(sys, word("a b"), Move(0, 1))
+
+    @pytest.mark.parametrize("position", [-1, -2, 2, 3])
+    def test_apply_out_of_range_rejected(self, position):
+        sys = make([Rule(word("a b"), ())])
+        with pytest.raises(ValueError, match="illegal move"):
+            nca.apply_move(sys, word("a b"), Move(0, position))
+
+
+def scan_moves(rules, w):
+    """Every rule, every position: the move generator before the
+    left-hand-side index, kept as the oracle."""
+    return [Move(i, pos) for i, r in enumerate(rules) for pos in occurrences(w, r.lhs, r.anchor)]
+
+
+@functools.lru_cache(maxsize=None)
+def indexed_rules(name, to_gcsg):
+    """A rule index and the working alphabet its rules run over: an
+    ``.nca`` fixture's own, or the backward system of a grammar."""
+    system = load(name)
+    if to_gcsg:
+        system = transforms.nca_to_gcsg(system)
+    if isinstance(system, NcaSystem):
+        return system._index, sorted(system.alphabet.working)
+    return system._backward[0], sorted(system.alphabet)
+
+
+class TestRuleIndex:
+    @pytest.mark.parametrize("name, to_gcsg", [
+        *((p.name, False) for p in sorted(FIXTURES.glob("*.nca"))),
+        pytest.param("s3.nca", True, id="nca_to_gcsg(s3)"),
+        pytest.param("fg2.nca", True, id="nca_to_gcsg(fg2)"),
+        ("left_anchor.egcsg", False), ("right_anchor.egcsg", False), ("both_anchor.egcsg", False),
+    ])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_scan(self, name, to_gcsg, data):
+        index, letters = indexed_rules(name, to_gcsg)
+        w = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=10)))
+        assert nca._moves(index, w) == scan_moves(index.rules, w)
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.builds(
+                Rule,
+                st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(tuple),
+                st.sampled_from([(), ("c",)]),
+                st.sampled_from(list(Anchor)),
+            ),
+            max_size=8,
+        ),
+        st.lists(st.sampled_from("abc"), max_size=8).map(tuple),
+    )
+    def test_random_systems_match_scan(self, rules, w):
+        sys = make(rules, working="a b c")
+        assert nca.legal_moves(sys, w) == scan_moves(sys.rules, w)
+
+    def test_shared_lhs_mixed_lengths_and_anchors(self):
+        sys = make(
+            [Rule(word("a b"), (), Anchor.RIGHT), Rule(word("a"), ()),
+             Rule(word("a b"), ()), Rule(word("a b"), (), Anchor.LEFT)],
+        )
+        w = word("a b a b")
+        assert nca.legal_moves(sys, w) == scan_moves(sys.rules, w) == [
+            Move(0, 2), Move(1, 0), Move(1, 2), Move(2, 0), Move(2, 2), Move(3, 0)]
+
+    def test_built_once_per_system(self, monkeypatch):
+        calls = []
+        index_rules = nca.index_rules
+        monkeypatch.setattr(nca, "index_rules", lambda rules: calls.append(rules) or index_rules(rules))
+        sys = load("fg2.nca")
+        for w in (word("a A"), word("a b"), word("b a A B")):
+            nca.decide(sys, w)
+        nca.legal_moves(sys, word("a A"))
+        assert len(calls) == 1
+
+    def test_empty_lhs_rejected(self):
+        sys = make([Rule((), word("a"))])
+        with pytest.raises(ValueError, match="empty left hand side"):
+            nca.legal_moves(sys, word("a"))
 
 
 class TestDecide:
