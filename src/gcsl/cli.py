@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 success / accepted / languages equal, 1 rejected / unequal,
-2 usage or parse error, 3 budget exceeded.
+2 usage or parse error, 3 budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _load(path: str):
@@ -110,13 +111,13 @@ def _accepted(system, text: str, max_nodes: int):
 
 def cmd_decide(args) -> int:
     system = _load(args.file)
+    if args.trace and not isinstance(system, NcaSystem):
+        raise _CliError("--trace requires an nca input")
     accepted = _accepted(system, args.word, args.max_nodes)
     if accepted is None:
         return EXIT_NEGATIVE
     print("accepted")
     if args.trace:
-        if not isinstance(system, NcaSystem):
-            raise _CliError("--trace requires an nca input")
         h = history_mod.from_moves(system, *accepted)
         _emit(format_trace(h), args.trace)
     return EXIT_OK
@@ -242,6 +243,15 @@ def main(argv=None) -> int:
     except OSError as e:
         print(e, file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        # a crash must not read as an answer: keep the traceback for the
+        # report and end with a code that no answer uses (traceback is
+        # imported only here, as it adds to every start-up)
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -199,7 +199,16 @@ def precedence(h: History) -> Precedence:
     )
 
 
-def _overlaps(lines: tuple[Interval, ...]) -> list[list[int]]:
+def _ranked(lines: tuple[Interval, ...]) -> list[tuple[int, int]]:
+    """The lines with each endpoint replaced by its rank among the distinct
+    endpoints.  Ranking preserves order strictly, so every comparison of
+    endpoints gives the same answer on ranks as on the exact fractions, and
+    the dependency and left-first orders read ranks instead."""
+    rank = {x: r for r, x in enumerate(sorted({x for line in lines for x in line}))}
+    return [(rank[lo], rank[hi]) for lo, hi in lines]
+
+
+def _overlaps(lines: list[tuple[int, int]]) -> list[list[int]]:
     """Direct edges of the dependency order, as successor lists: an earlier
     event blocks a later one when their line interiors overlap horizontally."""
     n = len(lines)
@@ -215,7 +224,7 @@ def _overlaps(lines: tuple[Interval, ...]) -> list[list[int]]:
 
 def _dependency_closure(h: History) -> list[list[bool]]:
     """Closure of the overlap order."""
-    return _closure(_overlaps(geometry(h).lines))
+    return _closure(_overlaps(_ranked(geometry(h).lines)))
 
 
 def _topological(succ: list[list[int]], key):
@@ -313,10 +322,11 @@ def canonicalize(h: History) -> History:
     """The unique equivalent history ordering independent substitutions
     left-before-right.  Idempotent, and constant on swap-equivalence
     classes."""
-    lines = geometry(h).lines
+    lines = _ranked(geometry(h).lines)
     # available events have pairwise disjoint line interiors, so the left
     # endpoint alone is decisive; rule index is a formal tie-break
-    order = _topological(_overlaps(lines), lambda j: (lines[j][0], h.events[j].rule_index))
+    keys = [(lo, e.rule_index) for (lo, _), e in zip(lines, h.events)]
+    order = _topological(_overlaps(lines), keys.__getitem__)
     return _renumber(_rebuild(h, order))
 
 
@@ -338,7 +348,7 @@ def reorder_with_swaps(h: History, first, second) -> tuple[History, list[int]]:
             raise IndexError(f"no event {s}")
     if first & second:
         raise ValueError("event sets overlap")
-    succ = _overlaps(geometry(h).lines)
+    succ = _overlaps(_ranked(geometry(h).lines))
     dep = _closure(succ)
     for a in first:
         for b in second:

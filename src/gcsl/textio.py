@@ -238,12 +238,10 @@ def format_diagram(h) -> str:
     """Rows of letters with their horizontal intervals, interleaved with
     the substitution line spans."""
     geo = history_mod.geometry(h)
+    cell = [f"{s}[{_frac(lo)},{_frac(hi)})" for s, (lo, hi) in zip(h.symbols, geo.intervals)]
     out = []
     for t, row in enumerate(history_mod.rows(h)):
-        cells = " ".join(
-            f"{h.symbols[i]}[{_frac(geo.intervals[i][0])},{_frac(geo.intervals[i][1])})"
-            for i in row
-        ) or "_"
+        cells = " ".join(map(cell.__getitem__, row)) or "_"
         out.append(f"row {t}: {cells}")
         if t < len(h.events):
             lo, hi = geo.lines[t]

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gcsl import history, nca
+from gcsl import history, nca, textio
 from gcsl.core import Alphabet, Anchor, word
 from gcsl.nca import Move, NcaSystem, Rule
 
@@ -254,3 +255,93 @@ class TestEquivalent:
         h1 = history.from_moves(pair_system, word("a b"), [(0, 0)])
         h2 = history.from_moves(fg2, word("a A"), [(0, 0)])
         assert not history.equivalent(h1, h2)
+
+
+# splitting rules give widths of 3/2 and 7/4; erasing ones widen the
+# dependency order beyond precedence
+SPLIT_ERASE = make([Rule(word("a b c"), word("d e")), Rule(word("e a b"), word("d e")),
+                    Rule(word("d e"), ()), Rule(word("a b"), ())],
+                   terminals="a b c d e")
+FG2, S3 = load("fg2.nca"), load("s3.nca")
+INVERSE = {FG2: str.swapcase, S3: {"e": "e", "t": "t", "s": "s", "u": "u", "r": "q", "q": "r"}.get}
+
+
+@st.composite
+def histories(draw):
+    """Random walks of splitting and erasing moves, and `decide` witnesses
+    of accepted `fg2` and `s3` words."""
+    system = draw(st.sampled_from([SPLIT_ERASE, SPLIT_ERASE, FG2, S3]))  # half split-erase
+    letters = sorted(system.alphabet.working)
+    if system is SPLIT_ERASE:
+        # words made of left-hand sides, so that the splitting rules fire
+        chunks = st.sampled_from([word("a b c"), word("e a b"), word("d e"), ("c",), ("e",)])
+        w = sum(draw(st.lists(chunks, min_size=2, max_size=6)), ())
+        moves, current = [], w
+        while options := nca.legal_moves(system, current):
+            m = draw(st.sampled_from(options))
+            moves.append(m)
+            current = nca.apply_move(system, current, m)
+        return history.from_moves(system, w, moves)
+    u = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=10))
+    w = tuple(u) + tuple(map(INVERSE[system], reversed(u)))
+    d = nca.decide(system, w, shuffle=random.Random(draw(st.integers(0, 2**32))).shuffle)
+    assert d.accepted
+    return history.from_moves(system, w, d.witness)
+
+
+class TestRankedOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(histories())
+    def test_overlaps_match_fraction_comparison(self, h):
+        lines = history.geometry(h).lines
+        n = len(lines)
+        want = [[j for j in range(i + 1, n)
+                 if lines[i][0] < lines[j][1] and lines[j][0] < lines[i][1]]
+                for i in range(n)]
+        ranked = history._ranked(lines)
+        assert history._overlaps(ranked) == want
+        ends = [x for line in lines for x in line]
+        ranks = [r for line in ranked for r in line]
+        assert all((x < y) == (rx < ry) for x, rx in zip(ends, ranks) for y, ry in zip(ends, ranks))
+
+    @settings(max_examples=150, deadline=None)
+    @given(histories())
+    def test_canonicalize_matches_closure_reference(self, h):
+        # the reference order of TestCanonicalize.test_matches_closure_reference,
+        # on exact fractions
+        n = len(h.events)
+        dep = history._dependency_closure(h)
+        lines = history.geometry(h).lines
+        emitted, order = set(), []
+        for _ in range(n):
+            avail = [j for j in range(n) if j not in emitted
+                     and not any(dep[i][j] for i in range(n) if i not in emitted)]
+            j = min(avail, key=lambda j: (lines[j][0], h.events[j].rule_index))
+            emitted.add(j)
+            order.append(j)
+        assert history.canonicalize(h) == history._renumber(history._rebuild(h, order))
+
+    @settings(max_examples=150, deadline=None)
+    @given(histories())
+    def test_diagram_matches_per_row_formatter(self, h):
+        def frac(x):
+            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+        geo = history.geometry(h)
+        out = []
+        for t, row in enumerate(history.rows(h)):
+            cells = " ".join(
+                f"{h.symbols[i]}[{frac(geo.intervals[i][0])},{frac(geo.intervals[i][1])})"
+                for i in row
+            ) or "_"
+            out.append(f"row {t}: {cells}")
+            if t < len(h.events):
+                lo, hi = geo.lines[t]
+                out.append(f"  line: [{frac(lo)},{frac(hi)}) rule#{h.events[t].rule_index}")
+        assert textio.format_diagram(h) == "\n".join(out) + "\n"
+
+    def test_pool_has_fractional_endpoints(self):
+        h = history.from_moves(SPLIT_ERASE, word("a b c a b"), [(0, 0), (1, 1), (2, 1)])
+        g = history.geometry(h)
+        assert g.lines[1] == (Fraction(3, 2), 5) and g.widths[-1] == Fraction(7, 4)
+        assert history._ranked(g.lines) == [(0, 2), (1, 3), (1, 3)]

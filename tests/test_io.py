@@ -178,6 +178,26 @@ class TestCli:
         assert cli.main(["decide", fx("fg2.nca"), "a A", "--trace", str(out)]) == 0
         assert out.read_text() == "0 | a A | rule#0 @0\n1 | _ |\n"
 
+    def test_decide_trace_on_grammar_is_usage_error(self, tmp_path, capsys):
+        g = tmp_path / "ab.gcsg"
+        g.write_text("kind: gcsg\nterminals: a b\nnonterminals: S\nstart: S\n"
+                     "productions:\nS -> a b\n")
+        out = tmp_path / "trace.txt"
+        assert cli.main(["decide", str(g), "a b", "--trace", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--trace requires an nca input" in captured.err
+        assert not out.exists()
+
+    def test_internal_error_exit_code(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(nca, "decide", broken)
+        assert cli.main(["decide", fx("fg2.nca"), "a A"]) == cli.EXIT_INTERNAL == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: RuntimeError: boom" in captured.err
+
     def test_trace_canonical(self, capsys):
         assert cli.main(["trace", fx("fg2.nca"), "b B a A", "--canonical"]) == 0
         out = capsys.readouterr().out
