@@ -22,8 +22,10 @@ from .textio import (
     first_difference,
     format_diagram,
     format_trace,
+    language,
     parse_system,
     serialize_system,
+    shortlex_key,
 )
 
 EXIT_OK = 0
@@ -55,11 +57,7 @@ def _emit(text: str, out_path):
 
 
 def cmd_validate(args) -> int:
-    try:
-        _load(args.file)
-    except _CliError as e:
-        print(e, file=sys.stderr)
-        return EXIT_USAGE
+    _load(args.file)
     print("ok")
     return EXIT_OK
 
@@ -124,8 +122,6 @@ def cmd_decide(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .textio import language, shortlex_key
-
     system = _load(args.file)
     try:
         lang = language(system, args.max_len)

@@ -51,6 +51,15 @@ def word_str(w: Word) -> str:
     return " ".join(w) if w else EMPTY_WORD_TOKEN
 
 
+class ValidationError(ValueError):
+    """An object broke its type's invariants; ``violations`` lists every
+    broken one."""
+
+    def __init__(self, violations):
+        super().__init__("; ".join(violations))
+        self.violations = list(violations)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """A working alphabet together with its distinguished terminal subset."""
@@ -64,12 +73,6 @@ class Alphabet:
         if not self.terminals <= self.working:
             extra = sorted(self.terminals - self.working)
             raise ValueError(f"terminals not in working alphabet: {extra}")
-
-    @staticmethod
-    def of(terminals, working=None) -> "Alphabet":
-        terminals = frozenset(terminals)
-        working = frozenset(working) if working is not None else terminals
-        return Alphabet(terminals, working | terminals)
 
 
 def anchor_ok(anchor: Anchor, start: int, needle_len: int, haystack_len: int) -> bool:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Anchor, Symbol, Word, splice
+from .core import Anchor, Symbol, ValidationError, Word, splice
 from . import nca
 from .nca import ENUMERATION_GUARD, Budget, Decision, Rule, RuleIndex, Status
 
@@ -32,6 +31,9 @@ Production = Rule
 
 @dataclass(frozen=True)
 class Grammar:
+    """A growing grammar, as defined in the module docstring; construction
+    raises :class:`ValidationError` listing every violation."""
+
     nonterminals: frozenset[Symbol]
     terminals: frozenset[Symbol]
     start: Symbol
@@ -40,6 +42,9 @@ class Grammar:
 
     def __post_init__(self):
         object.__setattr__(self, "productions", tuple(dict.fromkeys(self.productions)))
+        violations = _validate(self)
+        if violations:
+            raise ValidationError(violations)
 
     @property
     def alphabet(self) -> frozenset[Symbol]:
@@ -52,13 +57,12 @@ class Grammar:
 
     @functools.cached_property
     def _backward(self) -> tuple[RuleIndex, frozenset[Word], bool]:
-        """The grammar read right to left, built once after the growing
-        check: the index of one length-reducing rule per production, in
-        production order (a start production ``S -> v`` becomes
-        ``v -> _ @both``, and ``S -> _`` gives none), the words ``v`` (the
-        backward-search goals), and whether ``S -> _`` is a production.  A
-        failed check caches nothing, so it raises again on the next use."""
-        _require_growing(self)
+        """The grammar read right to left, built once: the index of one
+        length-reducing rule per production, in production order (a start
+        production ``S -> v`` becomes ``v -> _ @both``, and ``S -> _`` gives
+        none), the words ``v`` (the backward-search goals), and whether
+        ``S -> _`` is a production.  Every non-start production grows, so
+        every reversed one shortens."""
         sigma_lhs = (self.start,)
         rules = []
         goals = set()
@@ -74,9 +78,10 @@ class Grammar:
         return nca.index_rules(tuple(rules)), frozenset(goals), eps
 
 
-def validate(g: Grammar, *, growing: bool = True) -> list[str]:
-    """All invariant violations; pass ``growing=False`` to check only the
-    plain context-sensitive conditions."""
+def _validate(g: Grammar) -> list[str]:
+    """All invariant violations; empty means a valid growing grammar.
+    Conversions build grammars of hundreds of productions, so the loop over
+    them stays tight."""
     v = []
     overlap = g.nonterminals & g.terminals
     if overlap:
@@ -86,38 +91,25 @@ def validate(g: Grammar, *, growing: bool = True) -> list[str]:
     alphabet = g.alphabet
     sigma = g.start
     sigma_lhs = (sigma,)
-    sigma_in_rhs = any(sigma in p.rhs for p in g.productions)
+    standard = g.flavor is Flavor.STANDARD
     for i, p in enumerate(g.productions):
-        if not p.lhs:
-            v.append(f"production {i}: empty left hand side")
-            continue
-        for s in itertools.chain(p.lhs, p.rhs):
+        lhs, rhs = p.lhs, p.rhs
+        for s in lhs + rhs:
             if s not in alphabet:
                 v.append(f"production {i}: symbol outside alphabet: {s}")
-        if p.lhs == sigma_lhs and p.rhs == ():
-            # the epsilon production, legal only if sigma is in no rhs
-            if sigma_in_rhs:
-                v.append(f"production {i}: start -> empty word while start occurs in a rhs")
-        elif len(p.lhs) > len(p.rhs):
-            v.append(f"production {i}: not context-sensitive ({len(p.lhs)} > {len(p.rhs)})")
-        if g.flavor is Flavor.STANDARD and p.anchor is not Anchor.NONE:
-            v.append(f"production {i}: anchored production in a standard grammar")
-        if p.anchor is not Anchor.NONE and p.lhs == sigma_lhs:
-            v.append(f"production {i}: start-symbol production must not be anchored")
-        if sigma in p.lhs and p.lhs != sigma_lhs:
+        start_lhs = lhs == sigma_lhs
+        if p.anchor is not Anchor.NONE:
+            if standard:
+                v.append(f"production {i}: anchored production in a standard grammar")
+            if start_lhs:
+                v.append(f"production {i}: start-symbol production must not be anchored")
+        if sigma in lhs and not start_lhs:
             v.append(f"production {i}: start symbol inside a longer lhs")
-        if growing:
-            if sigma in p.rhs:
-                v.append(f"production {i}: start symbol in rhs")
-            if p.lhs != sigma_lhs and len(p.lhs) >= len(p.rhs):
-                v.append(f"production {i}: not growing ({len(p.lhs)} >= {len(p.rhs)})")
+        if sigma in rhs:
+            v.append(f"production {i}: start symbol in rhs")
+        if not start_lhs and len(lhs) >= len(rhs):
+            v.append(f"production {i}: not growing ({len(lhs)} >= {len(rhs)})")
     return v
-
-
-def _require_growing(g: Grammar):
-    violations = validate(g)
-    if violations:
-        raise ValueError("not a valid growing grammar: " + "; ".join(violations))
 
 
 def derive_successors(g: Grammar, sentential: Word) -> list[Word]:
@@ -137,7 +129,6 @@ def generate_language(g: Grammar, max_len: int) -> set[Word]:
     """
     if max_len > ENUMERATION_GUARD:
         raise ValueError(f"max_len {max_len} exceeds enumeration guard {ENUMERATION_GUARD}")
-    _require_growing(g)
     sigma = g.start
     terminals = g.terminals
     index = g._forward

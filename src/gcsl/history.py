@@ -161,7 +161,6 @@ class Precedence:
     with rule index as the documented tie-break).
     """
 
-    direct: frozenset[tuple[int, int]]
     before: tuple[tuple[bool, ...], ...]
     lines: tuple[Interval, ...]
     rule_indices: tuple[int, ...]
@@ -192,7 +191,6 @@ def precedence(h: History) -> Precedence:
     reach = _closure(succ)
     geo = geometry(h)
     return Precedence(
-        direct=frozenset((i, j) for i, out in enumerate(succ) for j in out),
         before=tuple(tuple(r) for r in reach),
         lines=geo.lines,
         rule_indices=tuple(e.rule_index for e in h.events),
@@ -247,10 +245,14 @@ def _topological(succ: list[list[int]], key):
                 avail.append(k)
 
 
-def _rebuild(h: History, order) -> History:
+def _reissue(h: History, order) -> History:
     """Reissue the events of ``h`` in the given order (a permutation of
-    original indices), recomputing positions by simulation."""
-    row = list(range(len(h.start)))
+    original indices), recomputing positions by simulation and numbering
+    the produced letters afresh in event order, so that histories reaching
+    the same event order compare equal."""
+    row = list(range(len(h.start)))  # original letter ids
+    new_id = list(range(len(h.symbols)))  # start letters keep theirs
+    symbols = list(h.start)
     events = []
     for idx in order:
         e = h.events[idx]
@@ -258,11 +260,17 @@ def _rebuild(h: History, order) -> History:
             pos = row.index(e.consumed[0])
         except ValueError:
             raise ValueError(f"event {idx} reordered before a producer of its letters")
-        if tuple(row[pos:pos + len(e.consumed)]) != e.consumed:
+        k = len(e.consumed)
+        if tuple(row[pos:pos + k]) != e.consumed:
             raise ValueError(f"event {idx}: consumed block not contiguous in this order")
-        events.append(Event(e.rule_index, pos, e.consumed, e.produced))
-        row[pos:pos + len(e.consumed)] = e.produced
-    return History(h.system, h.start, tuple(events), h.symbols)
+        produced = tuple(range(len(symbols), len(symbols) + len(e.produced)))
+        for old, new in zip(e.produced, produced):
+            new_id[old] = new
+            symbols.append(h.symbols[old])
+        events.append(Event(e.rule_index, pos, tuple(map(new_id.__getitem__, e.consumed)),
+                            produced))
+        row[pos:pos + k] = e.produced
+    return History(h.system, h.start, tuple(events), tuple(symbols))
 
 
 def swap_adjacent(h: History, i: int) -> History:
@@ -297,27 +305,6 @@ def swappable(h: History, i: int) -> bool:
     return True
 
 
-def _renumber(h: History) -> History:
-    """Relabel letter ids in event order, so that histories reaching the
-    same canonical event order compare equal."""
-    mapping = {i: i for i in range(len(h.start))}
-    nxt = len(h.start)
-    for e in h.events:
-        for lid in e.produced:
-            mapping[lid] = nxt
-            nxt += 1
-    events = tuple(
-        Event(e.rule_index, e.position,
-              tuple(mapping[c] for c in e.consumed),
-              tuple(mapping[p] for p in e.produced))
-        for e in h.events
-    )
-    symbols = [""] * len(h.symbols)
-    for old, new in mapping.items():
-        symbols[new] = h.symbols[old]
-    return History(h.system, h.start, events, tuple(symbols))
-
-
 def canonicalize(h: History) -> History:
     """The unique equivalent history ordering independent substitutions
     left-before-right.  Idempotent, and constant on swap-equivalence
@@ -327,7 +314,7 @@ def canonicalize(h: History) -> History:
     # endpoint alone is decisive; rule index is a formal tie-break
     keys = [(lo, e.rule_index) for (lo, _), e in zip(lines, h.events)]
     order = _topological(_overlaps(lines), keys.__getitem__)
-    return _renumber(_rebuild(h, order))
+    return _reissue(h, order)
 
 
 def equivalent(h1: History, h2: History) -> bool:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .core import Alphabet, Anchor, Word, anchor_ok, occurs_at, splice
+from .core import Alphabet, Anchor, ValidationError, Word, anchor_ok, occurs_at, splice
 
 ENUMERATION_GUARD = 12
 
@@ -42,6 +42,8 @@ class Rule:
     def __post_init__(self):
         object.__setattr__(self, "lhs", tuple(self.lhs))
         object.__setattr__(self, "rhs", tuple(self.rhs))
+        if not self.lhs:
+            raise ValueError("empty left hand side")
 
 
 class Move(NamedTuple):
@@ -60,12 +62,9 @@ class RuleIndex(NamedTuple):
 
 
 def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
-    """Index ``rules`` by left-hand side; every left-hand side must be
-    non-empty."""
+    """Index ``rules`` by left-hand side."""
     tables: dict = {}
     for i, r in enumerate(rules):
-        if not r.lhs:
-            raise ValueError(f"rule {i}: empty left hand side")
         table = tables.setdefault(len(r.lhs), {})
         table[r.lhs] = table.get(r.lhs, ()) + ((i, r.anchor),)
     return RuleIndex(rules, tuple(sorted(tables.items())))
@@ -73,12 +72,19 @@ def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
 
 @dataclass(frozen=True)
 class NcaSystem:
+    """A rewriting system whose rules are strictly length-reducing and
+    written over its working alphabet; construction raises
+    :class:`ValidationError` listing every rule that is not."""
+
     alphabet: Alphabet
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
         # duplicate rules are permitted on input but collapse to one
         object.__setattr__(self, "rules", tuple(dict.fromkeys(self.rules)))
+        violations = _validate(self)
+        if violations:
+            raise ValidationError(violations)
 
     @functools.cached_property
     def _index(self) -> RuleIndex:
@@ -103,18 +109,16 @@ class Decision:
         return self.status is Status.ACCEPTED
 
 
-def validate(sys: NcaSystem) -> list[str]:
+def _validate(sys: NcaSystem) -> list[str]:
     """All invariant violations of the system; empty means valid."""
     violations = []
     working = sys.alphabet.working
     for i, r in enumerate(sys.rules):
         if len(r.lhs) <= len(r.rhs):
             violations.append(f"rule {i}: not length-reducing ({len(r.lhs)} <= {len(r.rhs)})")
-        for s in itertools.chain(r.lhs, r.rhs):
+        for s in r.lhs + r.rhs:
             if s not in working:
                 violations.append(f"rule {i}: symbol outside working alphabet: {s}")
-        if not r.lhs:
-            violations.append(f"rule {i}: empty left hand side")
     return violations
 
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Anchor, Word, check_symbol, word_str
-from .core import Alphabet
+# ValidationError is re-exported: parse_system raises it next to ParseError
+from .core import Alphabet, Anchor, ValidationError, Word, check_symbol, word_str
 from . import grammar as grammar_mod
 from . import history as history_mod
 from . import nca as nca_mod
-from .grammar import Flavor, Grammar, Production
+from .grammar import Flavor, Grammar
 from .nca import NcaSystem, Rule
 
 
@@ -37,12 +37,6 @@ class ParseError(Exception):
         super().__init__(loc + message)
         self.line = line
         self.column = column
-
-
-class ValidationError(Exception):
-    def __init__(self, violations):
-        super().__init__("; ".join(violations))
-        self.violations = list(violations)
 
 
 _ANCHORS = {"@left": Anchor.LEFT, "@right": Anchor.RIGHT, "@both": Anchor.BOTH}
@@ -62,7 +56,7 @@ def _parse_word(tokens, lineno) -> Word:
         raise ParseError(str(e), lineno)
 
 
-def _parse_rule_line(text: str, lineno: int):
+def _parse_rule_line(text: str, lineno: int) -> Rule:
     if "->" not in text:
         raise ParseError("expected 'LHS -> RHS'", lineno, 1)
     left, right = text.split("->", 1)
@@ -75,16 +69,18 @@ def _parse_rule_line(text: str, lineno: int):
         anchor = _ANCHORS[tok]
     lhs = _parse_word(left.split(), lineno)
     rhs = _parse_word(rtokens, lineno)
-    if not lhs:
-        raise ParseError("empty left hand side", lineno)
-    return lhs, rhs, anchor
+    try:
+        return Rule(lhs, rhs, anchor)
+    except ValueError as e:
+        raise ParseError(str(e), lineno)
 
 
-def parse_system(text: str, *, check: bool = True):
+def parse_system(text: str):
     """Parse a system file into an :class:`NcaSystem` or :class:`Grammar`.
 
-    With ``check`` (the default) the matching validator runs and any
-    violations raise :class:`ValidationError`.
+    Malformed text raises :class:`ParseError`; a well-formed system that
+    breaks its type's invariants raises the constructor's
+    :class:`ValidationError`, which lists every violation.
     """
     headers: dict[str, tuple[str, int]] = {}
     body: list[tuple[str, int]] = []
@@ -128,17 +124,12 @@ def parse_system(text: str, *, check: bool = True):
         terminals = _parse_word(terminals_text.split(), None)
         working = _parse_word(take("alphabet")[0].split(), None)
         _reject_unknown(headers)
-        rules = tuple(Rule(*_parse_rule_line(line, no)) for line, no in body)
+        rules = tuple(_parse_rule_line(line, no) for line, no in body)
         try:
             alphabet = Alphabet(frozenset(terminals), frozenset(working))
         except ValueError as e:
             raise ParseError(str(e), terminals_line)
-        system = NcaSystem(alphabet, rules)
-        if check:
-            violations = nca_mod.validate(system)
-            if violations:
-                raise ValidationError(violations)
-        return system
+        return NcaSystem(alphabet, rules)
 
     if body_key not in (None, "productions"):
         raise ParseError(f"kind {kind} expects a 'productions:' section, got '{body_key}:'")
@@ -150,19 +141,14 @@ def parse_system(text: str, *, check: bool = True):
     except ValueError as e:
         raise ParseError(str(e), start_line)
     _reject_unknown(headers)
-    productions = tuple(Production(*_parse_rule_line(line, no)) for line, no in body)
-    g = Grammar(
+    productions = tuple(_parse_rule_line(line, no) for line, no in body)
+    return Grammar(
         nonterminals=frozenset(nonterminals),
         terminals=frozenset(terminals),
         start=start,
         productions=productions,
         flavor=Flavor.EXTENDED if kind == "egcsg" else Flavor.STANDARD,
     )
-    if check:
-        violations = grammar_mod.validate(g)
-        if violations:
-            raise ValidationError(violations)
-    return g
 
 
 def _reject_unknown(headers):

@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 
 from .core import Alphabet, Anchor, Symbol, Word
-from .grammar import Flavor, Grammar, Production, _require_growing
-from .nca import NcaSystem, validate as validate_nca
+from .grammar import Flavor, Grammar, Production
+from .nca import NcaSystem
 
 TILDE = "~"
 CARET = "^"
@@ -51,7 +51,6 @@ def eliminate_terminals(g: Grammar) -> Grammar:
     terminals.  Each terminal gains a tilde-decorated nonterminal twin;
     every rhs terminal occurrence is optionally replaced, so a production
     with k terminal occurrences on the right becomes 2^k productions."""
-    _require_growing(g)
     terminals = g.terminals
     twins = {x: tilde(x) for x in terminals}
     _fresh_or_die(twins.values(), g.alphabet)
@@ -165,9 +164,6 @@ def nca_to_extended_gcsg(sys: NcaSystem) -> Grammar:
     """The extended-grammar intermediate of the system-to-grammar
     conversion.  Erasing rules are compensated by context productions
     x -> xv / x -> vx over the whole working alphabet."""
-    violations = validate_nca(sys)
-    if violations:
-        raise ValueError("invalid system: " + "; ".join(violations))
     working = sys.alphabet.working
     terminals = sys.alphabet.terminals
     sigma = _fresh_start(working)

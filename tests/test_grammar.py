@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from gcsl import grammar, nca, transforms
-from gcsl.core import Anchor, word
+from gcsl.core import Anchor, ValidationError, word
 from gcsl.grammar import Flavor, Grammar, Production
 
 from conftest import load
@@ -22,34 +23,34 @@ def make(productions, terminals="a b", nonterminals="S T", start="S",
 
 class TestValidate:
     def test_anbn_ok(self, anbn_grammar):
-        assert grammar.validate(anbn_grammar) == []
+        # rebuilding runs the constructor's check again
+        assert dataclasses.replace(anbn_grammar) == anbn_grammar
 
     def test_start_in_rhs(self):
-        g = make([Production(word("S"), word("a S b"))])
-        assert any("start symbol in rhs" in v for v in grammar.validate(g))
+        with pytest.raises(ValidationError, match="start symbol in rhs"):
+            make([Production(word("S"), word("a S b"))])
 
     def test_not_growing(self):
-        g = make([Production(word("T"), word("a"))])
-        assert any("not growing" in v for v in grammar.validate(g))
-        # but it is still context-sensitive
-        assert grammar.validate(g, growing=False) == []
+        with pytest.raises(ValidationError, match="not growing"):
+            make([Production(word("T"), word("a"))])
 
     def test_epsilon_production_needs_start_out_of_rhs(self):
-        g = make(
-            [Production(word("S"), ()), Production(word("T"), word("a S"))],
-            flavor=Flavor.STANDARD,
-        )
-        assert any("start occurs in a rhs" in v for v in grammar.validate(g, growing=False))
+        with pytest.raises(ValidationError, match="start symbol in rhs"):
+            make(
+                [Production(word("S"), ()), Production(word("T"), word("a S"))],
+                flavor=Flavor.STANDARD,
+            )
 
     def test_anchor_only_in_extended(self):
         p = Production(word("T"), word("a b"), Anchor.LEFT)
-        assert any("anchored production" in v for v in grammar.validate(make([p])))
-        assert grammar.validate(make([p], flavor=Flavor.EXTENDED)) == []
+        with pytest.raises(ValidationError, match="anchored production"):
+            make([p])
+        assert make([p], flavor=Flavor.EXTENDED).productions == (p,)
 
     def test_start_production_never_anchored(self):
         p = Production(word("S"), word("a b"), Anchor.LEFT)
-        g = make([p], flavor=Flavor.EXTENDED)
-        assert any("must not be anchored" in v for v in grammar.validate(g))
+        with pytest.raises(ValidationError, match="must not be anchored"):
+            make([p], flavor=Flavor.EXTENDED)
 
 
 class TestDerive:
@@ -86,9 +87,8 @@ class TestGenerate:
             )
 
     def test_refuses_non_growing(self):
-        g = make([Production(word("T"), word("a"))])
-        with pytest.raises(ValueError):
-            grammar.generate_language(g, 4)
+        with pytest.raises(ValidationError, match="not growing"):
+            make([Production(word("T"), word("a"))])
 
     def test_guard(self, anbn_grammar):
         with pytest.raises(ValueError):
@@ -142,16 +142,19 @@ class TestMember:
                         w = nca.apply_move(sys, w, m)
                     assert w in goals
 
-    def test_validates_once_per_grammar(self, anbn_grammar, monkeypatch):
+    def test_validates_once_per_grammar(self, monkeypatch):
         calls = []
-        validate = grammar.validate
-        monkeypatch.setattr(grammar, "validate", lambda g, **kw: calls.append(g) or validate(g, **kw))
+        validate = grammar._validate
+        monkeypatch.setattr(grammar, "_validate", lambda g: calls.append(g) or validate(g))
+        g = load("anbn.gcsg")
         for w in (word("a b"), word("a a b"), ()):
-            grammar.member(anbn_grammar, w)
-        assert len(calls) == 1
+            grammar.member(g, w)
+        grammar.generate_language(g, 4)
+        transforms.eliminate_terminals(g)
+        transforms.gcsg_to_nca(g)
+        assert sum(c is g for c in calls) == 1
 
     def test_non_growing_raises_on_every_call(self):
-        g = make([Production(word("S"), word("T")), Production(word("T"), word("a"))])
         for _ in range(2):
-            with pytest.raises(ValueError, match="not growing"):
-                grammar.member(g, word("a"))
+            with pytest.raises(ValidationError, match="not growing"):
+                make([Production(word("S"), word("T")), Production(word("T"), word("a"))])

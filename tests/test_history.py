@@ -165,7 +165,7 @@ class TestCanonicalize:
                 j = min(avail, key=lambda j: (lines[j][0], h.events[j].rule_index))
                 emitted.add(j)
                 order.append(j)
-            return history._renumber(history._rebuild(h, order))
+            return history._reissue(h, order)
 
         rng = random.Random(600)
         for _ in range(300):
@@ -319,7 +319,7 @@ class TestRankedOrder:
             j = min(avail, key=lambda j: (lines[j][0], h.events[j].rule_index))
             emitted.add(j)
             order.append(j)
-        assert history.canonicalize(h) == history._renumber(history._rebuild(h, order))
+        assert history.canonicalize(h) == history._reissue(h, order)
 
     @settings(max_examples=150, deadline=None)
     @given(histories())

@@ -1,8 +1,9 @@
 import pytest
 
+import gcsl
 from gcsl import cli, history, nca, textio
-from gcsl.core import Anchor, word
-from gcsl.grammar import Flavor, Grammar
+from gcsl.core import Alphabet, Anchor, word
+from gcsl.grammar import Flavor, Grammar, Production
 from gcsl.nca import NcaSystem, Rule
 
 from conftest import FIXTURES, load
@@ -66,10 +67,46 @@ class TestParse:
 
     def test_validation_failure(self):
         bad = "kind: nca\nterminals: a\nalphabet: a\nrules:\na -> a a\n"
-        with pytest.raises(textio.ValidationError):
+        with pytest.raises(textio.ValidationError, match="not length-reducing"):
             textio.parse_system(bad)
-        sys = textio.parse_system(bad, check=False)
-        assert nca.validate(sys) != []
+
+
+# one invalid system of each kind, with two violations each: built directly,
+# its text, and the violations both routes must report
+INVALID = {
+    "nca": (
+        lambda: NcaSystem(Alphabet(frozenset("a"), frozenset("a")),
+                          (Rule(word("a"), word("a a")), Rule(word("a a"), word("c")))),
+        "kind: nca\nterminals: a\nalphabet: a\nrules:\na -> a a\na a -> c\n",
+        ["rule 0: not length-reducing (1 <= 2)",
+         "rule 1: symbol outside working alphabet: c"],
+    ),
+    "gcsg": (
+        lambda: Grammar(frozenset("ST"), frozenset("a"), "S",
+                        (Production(word("S"), word("a S")), Production(word("T"), word("a")))),
+        "kind: gcsg\nterminals: a\nnonterminals: S T\nstart: S\n"
+        "productions:\nS -> a S\nT -> a\n",
+        ["production 0: start symbol in rhs",
+         "production 1: not growing (1 >= 1)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID))
+def test_one_error_for_every_way_in(kind, tmp_path, capsys):
+    build, text, violations = INVALID[kind]
+    for route in (build, lambda: textio.parse_system(text)):
+        with pytest.raises(gcsl.ValidationError) as e:
+            route()
+        assert isinstance(e.value, ValueError)
+        assert e.value.violations == violations
+        assert str(e.value) == "; ".join(violations)
+    p = tmp_path / f"bad.{kind}"
+    p.write_text(text)
+    assert cli.main(["validate", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{p}: {'; '.join(violations)}\n"
 
 
 class TestSerialize:
