@@ -162,16 +162,24 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``."""
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}: {text!r}")
+        return int(text)
+    return parse
 
 
 def _add_max_nodes(p):
-    p.add_argument("--max-nodes", type=_positive_int, metavar="N",
+    p.add_argument("--max-nodes", type=_int_at_least(1), metavar="N",
                    default=DEFAULT_BUDGET.max_nodes,
                    help="stop the search after N nodes (default %(default)s)")
+
+
+def _add_max_len(p):
+    p.add_argument("--max-len", type=_int_at_least(0), metavar="N",
+                   required=True, help="consider words of at most N letters")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,13 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list the language up to a length bound")
     p.add_argument("file")
-    p.add_argument("--max-len", type=int, required=True)
+    _add_max_len(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("equiv", help="compare two systems' languages")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--max-len", type=int, required=True)
+    _add_max_len(p)
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("trace", help="print a witness reduction history")

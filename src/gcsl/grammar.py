@@ -115,9 +115,9 @@ def _validate(g: Grammar) -> list[str]:
 def derive_successors(g: Grammar, sentential: Word) -> list[Word]:
     """All words reachable from ``sentential`` by one production, deduplicated."""
     out = set()
-    for m in nca._moves(g._forward, sentential):
-        p = g.productions[m.rule_index]
-        out.add(splice(sentential, m.position, len(p.lhs), p.rhs))
+    for i, pos in nca._moves(g._forward, sentential):
+        p = g.productions[i]
+        out.add(splice(sentential, pos, len(p.lhs), p.rhs))
     return sorted(out)
 
 
@@ -146,9 +146,9 @@ def generate_language(g: Grammar, max_len: int) -> set[Word]:
                 out.add(w)
             if len(w) >= max_len and w != start_word:
                 continue  # every successor would exceed max_len
-            for m in nca._moves(index, w):
-                p = index.rules[m.rule_index]
-                w2 = splice(w, m.position, len(p.lhs), p.rhs)
+            for i, pos in nca._moves(index, w):
+                p = index.rules[i]
+                w2 = splice(w, pos, len(p.lhs), p.rhs)
                 if len(w2) > max_len:
                     continue
                 if w2 == ():

@@ -52,22 +52,33 @@ class Move(NamedTuple):
 
 
 class RuleIndex(NamedTuple):
-    """A rule tuple with its left-hand sides grouped by length: for each
-    length ``k``, ascending, a dict from each distinct left-hand side of
-    that length to the ``(rule_index, anchor)`` pairs of the rules that
-    have it."""
+    """A rule tuple indexed by left-hand side.  ``free`` maps each length
+    ``k`` of an unanchored left-hand side, ascending, to a dict from each
+    such left-hand side to the indices of the unanchored rules that have
+    it; ``anchored`` does the same for the anchored rules, pairing each
+    index with its anchor.  ``free_len`` holds each rule's left-hand-side
+    length if it is unanchored and 0 if not."""
 
     rules: tuple[Rule, ...]
-    by_length: tuple[tuple[int, dict[Word, tuple[tuple[int, Anchor], ...]]], ...]
+    free: tuple[tuple[int, dict[Word, tuple[int, ...]]], ...]
+    anchored: tuple[tuple[int, dict[Word, tuple[tuple[int, Anchor], ...]]], ...]
+    free_len: tuple[int, ...]
 
 
 def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
     """Index ``rules`` by left-hand side."""
-    tables: dict = {}
+    free: dict = {}
+    anchored: dict = {}
     for i, r in enumerate(rules):
-        table = tables.setdefault(len(r.lhs), {})
-        table[r.lhs] = table.get(r.lhs, ()) + ((i, r.anchor),)
-    return RuleIndex(rules, tuple(sorted(tables.items())))
+        if r.anchor is Anchor.NONE:
+            table = free.setdefault(len(r.lhs), {})
+            table[r.lhs] = table.get(r.lhs, ()) + (i,)
+        else:
+            table = anchored.setdefault(len(r.lhs), {})
+            table[r.lhs] = table.get(r.lhs, ()) + ((i, r.anchor),)
+    free_len = tuple(len(r.lhs) if r.anchor is Anchor.NONE else 0 for r in rules)
+    return RuleIndex(rules, tuple(sorted(free.items())), tuple(sorted(anchored.items())),
+                     free_len)
 
 
 @dataclass(frozen=True)
@@ -122,26 +133,82 @@ def _validate(sys: NcaSystem) -> list[str]:
     return violations
 
 
-def _moves(index: RuleIndex, w: Word) -> list[Move]:
-    """All applicable (rule, position) pairs, in lexicographic order: one
+def _scan(free, w: Word, lo: int, hi: int, out: list) -> None:
+    """Append to ``out`` the unanchored moves of ``w`` whose windows meet
+    ``w[lo:hi]``, or cross the gap before ``lo`` when ``lo == hi``: one
     dict lookup per window of each left-hand-side length."""
     n = len(w)
-    moves = []
-    for k, table in index.by_length:
-        # zipping k shifted copies of w yields its windows of length k
-        windows = zip(*[w[j:] for j in range(k)])
-        for pos, hits in enumerate(map(table.get, windows)):
+    for k, table in free:
+        start = max(lo - k + 1, 0)
+        stop = min(hi, n - k + 1)  # one past the last window start
+        if start >= stop:
+            continue
+        seg = w[start:stop + k - 1]
+        # zipping k shifted copies of seg yields its windows of length k
+        windows = zip(*[seg[j:] for j in range(k)])
+        for pos, hits in enumerate(map(table.get, windows), start):
             if hits:
-                for i, anchor in hits:
-                    if anchor is Anchor.NONE or anchor_ok(anchor, pos, k, n):
-                        moves.append(Move(i, pos))
+                for i in hits:
+                    out.append((i, pos))
+
+
+def _ends(anchored, w: Word, out: list) -> None:
+    """Append to ``out`` the anchored moves of ``w``: an anchored window
+    starts at 0 or ends at ``len(w)``, so two lookups per length suffice."""
+    n = len(w)
+    for k, table in anchored:
+        if k > n:
+            break
+        for pos in (0, n - k) if k < n else (0,):
+            for i, anchor in table.get(w[pos:pos + k], ()):
+                if anchor_ok(anchor, pos, k, n):
+                    out.append((i, pos))
+
+
+def _moves(index: RuleIndex, w: Word) -> list[tuple[int, int]]:
+    """All applicable (rule, position) pairs, in lexicographic order: one
+    dict lookup per window of each unanchored left-hand-side length, and
+    two per anchored one.  The pairs are plain tuples, as building a
+    :class:`Move` costs many times more; :func:`legal_moves` and search
+    witnesses wrap them."""
+    moves: list = []
+    _scan(index.free, w, 0, len(w), moves)
+    _ends(index.anchored, w, moves)
     moves.sort()
     return moves
 
 
+def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
+            rhs_len: int) -> list[tuple[int, int]]:
+    """The moves of ``child``, in lexicographic order, derived from the
+    ``moves`` of its parent, in any order, which ``child`` is with the
+    ``lhs_len`` letters at ``p`` replaced by ``rhs_len`` letters.  Moves
+    of unanchored rules whose windows lie left of the replaced letters
+    are kept, those right of them shift by ``rhs_len - lhs_len``, and only
+    the windows that meet the new letters, or the gap where the old ones
+    were, are looked up.  Anchored moves are looked up afresh at the two
+    ends, since a shorter word can bring a kept window to either end."""
+    free_len = index.free_len
+    right = p + lhs_len  # parent windows from here on lie right of the splice
+    shift = rhs_len - lhs_len
+    out = []
+    for m in moves:
+        i, q = m
+        k = free_len[i]
+        if k:
+            if q + k <= p:
+                out.append(m)
+            elif q >= right:
+                out.append((i, q + shift))
+    _scan(index.free, child, p, p + rhs_len, out)
+    _ends(index.anchored, child, out)
+    out.sort()
+    return out
+
+
 def legal_moves(sys: NcaSystem, w: Word) -> list[Move]:
     """All applicable (rule, position) pairs, in lexicographic order."""
-    return _moves(sys._index, w)
+    return list(map(Move._make, _moves(sys._index, w)))
 
 
 def apply_move(sys: NcaSystem, w: Word, m: Move) -> Word:
@@ -162,33 +229,48 @@ def _search(
     """Exhaustive DFS over rule applications, shared by NCA decide and
     grammar membership.  ``memo`` collects words from which no goal is
     reachable and may be shared across calls on the same rule set.  The
-    path lives on an explicit stack, so no recursion limit bounds its depth."""
+    path lives on an explicit stack, so no recursion limit bounds its depth.
+
+    The root's moves come from a full scan (:func:`_moves`); each child's
+    are derived from its parent's (:func:`_derive`), which looks up only
+    the windows near the rewritten letters.  ``shuffle`` gets a fresh list
+    of each word's moves, :class:`Move` tuples in lexicographic order, and
+    may permute it in place to change the order in which they are tried;
+    children are derived from the sorted list."""
     rules = index.rules
     if is_goal(w):
         return Decision(Status.ACCEPTED, ())
     if w in memo:
         return Decision(Status.REJECTED)
     nodes = 0
-    stack: list = []  # (word, iterator over its untried moves), root first
-    path: list[Move] = []  # the move leading to each stack entry but the root
+    stack: list = []  # (word, its sorted moves, iterator over untried ones), root first
+    path: list = []  # the move leading to each stack entry but the root
     word = w  # the next word to expand, if any
     while True:
         if word is not None:
             nodes += 1
             if nodes > budget.max_nodes:
                 return Decision(Status.BUDGET_EXCEEDED)
-            moves = _moves(index, word)
+            if stack:
+                i, p = path[-1]
+                r = rules[i]
+                moves = _derive(index, stack[-1][1], word, p, len(r.lhs), len(r.rhs))
+            else:
+                moves = _moves(index, word)
+            order = moves
             if shuffle is not None:
-                shuffle(moves)
-            stack.append((word, iter(moves)))
-        parent, untried = stack[-1]
+                order = list(map(Move._make, moves))
+                shuffle(order)
+            stack.append((word, moves, iter(order)))
+        parent, _, untried = stack[-1]
         word = None
         for m in untried:
-            r = rules[m.rule_index]
-            child = splice(parent, m.position, len(r.lhs), r.rhs)
+            i, p = m
+            r = rules[i]
+            child = splice(parent, p, len(r.lhs), r.rhs)
             if is_goal(child):
                 path.append(m)
-                return Decision(Status.ACCEPTED, tuple(path))
+                return Decision(Status.ACCEPTED, tuple(map(Move._make, path)))
             if child not in memo:
                 path.append(m)
                 word = child
@@ -213,7 +295,9 @@ def decide(
 ) -> Decision:
     """Does ``w`` reduce to the empty word?  ``w`` must be a terminal word;
     use :func:`decide_over_working` for intermediate words over the full
-    working alphabet."""
+    working alphabet.  ``shuffle``, if given, is called with a fresh list
+    of each search node's moves (:class:`Move` tuples, sorted) and may
+    permute it in place to change the order in which they are tried."""
     bad = [s for s in w if s not in sys.alphabet.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")

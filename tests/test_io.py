@@ -210,6 +210,22 @@ class TestCli:
         assert cli.main(["decide", fx("fg2.nca"), "a A", "--max-nodes", value]) == 2
         assert "--max-nodes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", fx("anbn.gcsg")],
+        ["equiv", fx("fg2.nca"), fx("fg1.nca")],
+    ])
+    @pytest.mark.parametrize("value", ["-3", "-1"])
+    def test_max_len_below_zero_is_usage_error(self, argv, value, capsys):
+        assert cli.main([*argv, "--max-len", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-len" in captured.err
+
+    def test_max_len_zero(self, capsys):
+        assert cli.main(["enumerate", fx("anbn.gcsg"), "--max-len", "0"]) == 0
+        assert capsys.readouterr().out == "_\n"
+        assert cli.main(["equiv", fx("fg2.nca"), fx("fg1.nca"), "--max-len", "0"]) == 0
+        assert capsys.readouterr().out == "equal up to length 0\n"
+
     def test_decide_trace_output(self, tmp_path, capsys):
         out = tmp_path / "trace.txt"
         assert cli.main(["decide", fx("fg2.nca"), "a A", "--trace", str(out)]) == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcsl import cli, nca, transforms
-from gcsl.core import Alphabet, Anchor, ValidationError, occurrences, word
+from gcsl.core import Alphabet, Anchor, ValidationError, occurrences, splice, word
 from gcsl.nca import Budget, Move, NcaSystem, Rule, Status
 
 from conftest import FIXTURES, load
@@ -141,6 +141,88 @@ class TestRuleIndex:
     def test_empty_lhs_rejected(self):
         with pytest.raises(ValueError, match="empty left hand side"):
             Rule((), word("a"))
+
+
+@st.composite
+def shortening_rules(draw):
+    """A rule over ``a b c`` with a left-hand side of 1-3 letters, a
+    shorter (often empty) right-hand side, and any anchor."""
+    lhs = tuple(draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3)))
+    rhs = tuple(draw(st.lists(st.sampled_from("abc"), max_size=len(lhs) - 1)))
+    return Rule(lhs, rhs, draw(st.sampled_from(list(Anchor))))
+
+
+small_systems = st.lists(shortening_rules(), min_size=1, max_size=8).map(tuple)
+small_words = st.lists(st.sampled_from("abc"), max_size=12).map(tuple)
+
+
+def derive_step(index, w, moves, move):
+    """Apply ``move`` to ``w`` and derive the child's moves from ``moves``."""
+    i, p = move
+    r = index.rules[i]
+    child = splice(w, p, len(r.lhs), r.rhs)
+    return child, nca._derive(index, moves, child, p, len(r.lhs), len(r.rhs))
+
+
+class TestDerivedMoves:
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems, small_words, st.data())
+    def test_random_walk_matches_full_scan(self, rules, w, data):
+        index = nca.index_rules(rules)
+        moves = nca._moves(index, w)
+        while moves:
+            w, moves = derive_step(index, w, moves, data.draw(st.sampled_from(moves)))
+            assert moves == nca._moves(index, w)
+
+    @pytest.mark.parametrize("rules, w, move, child_moves", [
+        # erasing the first letter brings b to the left end
+        ([Rule(("a",), ()), Rule(("b",), (), Anchor.LEFT)], "a b", (0, 0), [(1, 0)]),
+        # erasing the last letter brings b to the right end
+        ([Rule(("a",), ()), Rule(("b",), (), Anchor.RIGHT)], "b a", (0, 1), [(1, 0)]),
+        # erasing either end can leave b as the whole word
+        ([Rule(("a",), ()), Rule(("b",), (), Anchor.BOTH)], "a b", (0, 0), [(1, 0)]),
+        ([Rule(("a",), ()), Rule(("b",), (), Anchor.BOTH)], "b a", (0, 1), [(1, 0)]),
+        # a right-anchored move shifts left, a both-anchored one lapses
+        ([Rule(("a", "a"), ("c",)), Rule(("b",), (), Anchor.RIGHT)], "a a b", (0, 0), [(1, 1)]),
+        ([Rule(("a",), ()), Rule(("a", "b"), (), Anchor.BOTH)], "a b", (0, 0), []),
+        # a window across the seam of an erasure
+        ([Rule(("a", "c", "b"), ()), Rule(("a", "b"), ())], "a a c b b", (0, 1), [(1, 0)]),
+    ])
+    def test_splices_at_the_ends_and_across_a_seam(self, rules, w, move, child_moves):
+        index = nca.index_rules(tuple(rules))
+        w = word(w)
+        moves = nca._moves(index, w)
+        assert move in moves
+        child, derived = derive_step(index, w, moves, move)
+        assert derived == nca._moves(index, child) == child_moves
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(rules=small_systems, w=small_words, seed=st.integers(0, 2**32))
+    def test_search_expands_each_word_with_its_full_scan(self, rules, w, seed, shuffled):
+        # the search tests each word against the goal just before it
+        # expands it, and hands the word's sorted moves to ``shuffle``
+        index = nca.index_rules(rules)
+        rng = random.Random(seed)
+        seen = []
+
+        def is_goal(word):
+            seen.append(word)
+            return not word
+
+        def check(order):
+            assert order == nca._moves(index, seen[-1])
+            assert all(type(m) is Move for m in order)
+            if shuffled:
+                rng.shuffle(order)
+
+        d = nca._search(index, w, is_goal, Budget(max_nodes=300), set(), check)
+        if d.accepted:
+            for i, p in d.witness:
+                r = rules[i]
+                assert p in occurrences(w, r.lhs, r.anchor)
+                w = splice(w, p, len(r.lhs), r.rhs)
+            assert w == ()
 
 
 class TestDecide:
