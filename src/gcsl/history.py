@@ -5,20 +5,21 @@ letter-level provenance: each event consumes a block of letters and
 produces fresh ones.  From the provenance we compute the diagram
 geometry (exact rational widths and horizontal intervals, generations),
 the precedence order between substitutions, swap moves between
-equivalent reductions, and the canonical left-first reordering.
+equivalent reductions (each event keeping its rule's anchor), and the
+canonical left-first reordering, which one left-to-right replay of the
+letters finds without any geometry.
 
 Two orders on events matter:
 
 * the *precedence* order, generated by "consumes a letter produced by";
 * the *dependency* order, generated by horizontal overlap of
-  substitution-line interiors.
+  substitution-line interiors, which only :func:`reorder_before` uses.
 
 For systems whose rules all have non-empty right hand sides the two
 coincide.  Rules producing the empty word can delete the letters that
 separated two blocks, making a later substitution's block contiguous
 only after the deletion; such pairs are precedence-incomparable but the
-deletion must still come first.  The dependency order captures this, so
-swaps, reorderings, and canonical forms are computed against it.
+deletion must still come first.  The dependency order captures this.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Word, occurs_at
+from .core import Anchor, Word, anchor_ok
 from .nca import Move, NcaSystem
 
 
@@ -64,11 +65,11 @@ def from_moves(system: NcaSystem, start: Word, moves) -> History:
     for m in moves:
         m = Move(*m)
         rule = system.rules[m.rule_index]
-        current = tuple(symbols[i] for i in row)
-        if not occurs_at(current, rule.lhs, m.position, rule.anchor):
-            raise ValueError(f"illegal move {m} on {current}")
         k = len(rule.lhs)
         consumed = tuple(row[m.position:m.position + k])
+        if not (0 <= m.position and tuple(symbols[i] for i in consumed) == rule.lhs
+                and anchor_ok(rule.anchor, m.position, k, len(row))):
+            raise ValueError(f"illegal move {m} on {tuple(symbols[i] for i in row)}")
         produced = tuple(range(len(symbols), len(symbols) + len(rule.rhs)))
         symbols.extend(rule.rhs)
         row[m.position:m.position + k] = produced
@@ -197,16 +198,7 @@ def precedence(h: History) -> Precedence:
     )
 
 
-def _ranked(lines: tuple[Interval, ...]) -> list[tuple[int, int]]:
-    """The lines with each endpoint replaced by its rank among the distinct
-    endpoints.  Ranking preserves order strictly, so every comparison of
-    endpoints gives the same answer on ranks as on the exact fractions, and
-    the dependency and left-first orders read ranks instead."""
-    rank = {x: r for r, x in enumerate(sorted({x for line in lines for x in line}))}
-    return [(rank[lo], rank[hi]) for lo, hi in lines]
-
-
-def _overlaps(lines: list[tuple[int, int]]) -> list[list[int]]:
+def _overlaps(lines: tuple[Interval, ...]) -> list[list[int]]:
     """Direct edges of the dependency order, as successor lists: an earlier
     event blocks a later one when their line interiors overlap horizontally."""
     n = len(lines)
@@ -222,7 +214,7 @@ def _overlaps(lines: list[tuple[int, int]]) -> list[list[int]]:
 
 def _dependency_closure(h: History) -> list[list[bool]]:
     """Closure of the overlap order."""
-    return _closure(_overlaps(_ranked(geometry(h).lines)))
+    return _closure(_overlaps(geometry(h).lines))
 
 
 def _topological(succ: list[list[int]], key):
@@ -245,38 +237,11 @@ def _topological(succ: list[list[int]], key):
                 avail.append(k)
 
 
-def _reissue(h: History, order) -> History:
-    """Reissue the events of ``h`` in the given order (a permutation of
-    original indices), recomputing positions by simulation and numbering
-    the produced letters afresh in event order, so that histories reaching
-    the same event order compare equal."""
-    row = list(range(len(h.start)))  # original letter ids
-    new_id = list(range(len(h.symbols)))  # start letters keep theirs
-    symbols = list(h.start)
-    events = []
-    for idx in order:
-        e = h.events[idx]
-        try:
-            pos = row.index(e.consumed[0])
-        except ValueError:
-            raise ValueError(f"event {idx} reordered before a producer of its letters")
-        k = len(e.consumed)
-        if tuple(row[pos:pos + k]) != e.consumed:
-            raise ValueError(f"event {idx}: consumed block not contiguous in this order")
-        produced = tuple(range(len(symbols), len(symbols) + len(e.produced)))
-        for old, new in zip(e.produced, produced):
-            new_id[old] = new
-            symbols.append(h.symbols[old])
-        events.append(Event(e.rule_index, pos, tuple(map(new_id.__getitem__, e.consumed)),
-                            produced))
-        row[pos:pos + k] = e.produced
-    return History(h.system, h.start, tuple(events), tuple(symbols))
-
-
 def swap_adjacent(h: History, i: int) -> History:
     """Exchange events i and i+1; they must be independent (neither feeds
     the other, and the earlier one must not delete letters separating the
-    later one's block)."""
+    later one's block), and each must keep its rule's anchor at its new
+    time."""
     if not 0 <= i < len(h.events) - 1:
         raise IndexError(f"no adjacent pair at {i}")
     e1, e2 = h.events[i], h.events[i + 1]
@@ -291,6 +256,13 @@ def swap_adjacent(h: History, i: int) -> History:
     else:
         # e2's block straddles the letters e1 erased
         raise ValueError(f"events {i} and {i + 1} are order-dependent")
+    a1 = h.system.rules[e1.rule_index].anchor
+    a2 = h.system.rules[e2.rule_index].anchor
+    if a1 is not Anchor.NONE or a2 is not Anchor.NONE:  # the row length costs a pass
+        n = len(h.start) + sum(len(e.produced) - len(e.consumed) for e in h.events[:i])
+        if not (anchor_ok(a2, p2, len(e2.consumed), n)
+                and anchor_ok(a1, p1, len(e1.consumed), n + d2)):
+            raise ValueError(f"swapping events {i} and {i + 1} breaks an anchor")
     events = list(h.events)
     events[i] = Event(e2.rule_index, p2, e2.consumed, e2.produced)
     events[i + 1] = Event(e1.rule_index, p1, e1.consumed, e1.produced)
@@ -306,15 +278,39 @@ def swappable(h: History, i: int) -> bool:
 
 
 def canonicalize(h: History) -> History:
-    """The unique equivalent history ordering independent substitutions
-    left-before-right.  Idempotent, and constant on swap-equivalence
-    classes."""
-    lines = _ranked(geometry(h).lines)
-    # available events have pairwise disjoint line interiors, so the left
-    # endpoint alone is decisive; rule index is a formal tie-break
-    keys = [(lo, e.rule_index) for (lo, _), e in zip(lines, h.events)]
-    order = _topological(_overlaps(lines), keys.__getitem__)
-    return _reissue(h, order)
+    """The unique equivalent history that always fires the leftmost event
+    whose block is in the word and whose anchor holds.  One left-to-right
+    replay: letters are pushed onto a stack one at a time, an event fires
+    as soon as its consumed block is the top of the stack and its anchor
+    holds, and the letters it produces are read next, under fresh ids in
+    emission order.  Idempotent, and constant on swap-equivalence classes."""
+    rules = h.system.rules
+    waiting = {e.consumed[-1]: e for e in h.events}  # each letter is consumed once
+    unread = list(range(len(h.start)))[::-1]  # next letter last
+    stack: list[int] = []
+    new_id = list(range(len(h.symbols)))  # start letters keep theirs
+    symbols = list(h.start)
+    events = []
+    while unread:
+        stack.append(unread.pop())
+        while stack and (e := waiting.get(stack[-1])) is not None:
+            k = len(e.consumed)
+            pos = len(stack) - k
+            if (tuple(stack[pos:]) != e.consumed
+                    or not anchor_ok(rules[e.rule_index].anchor, pos, k, len(stack) + len(unread))):
+                break
+            del waiting[e.consumed[-1]], stack[pos:]
+            produced = tuple(range(len(symbols), len(symbols) + len(e.produced)))
+            for old, new in zip(e.produced, produced):
+                new_id[old] = new
+                symbols.append(h.symbols[old])
+            events.append(Event(e.rule_index, pos, tuple(map(new_id.__getitem__, e.consumed)),
+                                produced))
+            unread.extend(reversed(e.produced))
+    if waiting:
+        raise ValueError(f"{len(waiting)} of {len(h.events)} events never fire: "
+                         "the history does not replay")
+    return History(h.system, h.start, tuple(events), tuple(symbols))
 
 
 def equivalent(h1: History, h2: History) -> bool:
@@ -335,7 +331,7 @@ def reorder_with_swaps(h: History, first, second) -> tuple[History, list[int]]:
             raise IndexError(f"no event {s}")
     if first & second:
         raise ValueError("event sets overlap")
-    succ = _overlaps(_ranked(geometry(h).lines))
+    succ = _overlaps(geometry(h).lines)
     dep = _closure(succ)
     for a in first:
         for b in second:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from gcsl.nca import Move, NcaSystem, Rule
 
 from conftest import load
 from test_acceptance import random_history
+from test_nca import small_systems
 
 
 def make(rules, terminals="a b", working=None):
@@ -19,10 +21,55 @@ def make(rules, terminals="a b", working=None):
     )
 
 
+def reissue(h, order):
+    """Reissue the events of ``h`` in the given order (a permutation of
+    original indices), recomputing positions by simulation and numbering
+    the produced letters afresh in event order."""
+    row = list(range(len(h.start)))  # original letter ids
+    new_id = list(range(len(h.symbols)))  # start letters keep theirs
+    symbols = list(h.start)
+    events = []
+    for idx in order:
+        e = h.events[idx]
+        pos = row.index(e.consumed[0])
+        k = len(e.consumed)
+        assert tuple(row[pos:pos + k]) == e.consumed
+        produced = tuple(range(len(symbols), len(symbols) + len(e.produced)))
+        for old, new in zip(e.produced, produced):
+            new_id[old] = new
+            symbols.append(h.symbols[old])
+        events.append(history.Event(e.rule_index, pos, tuple(map(new_id.__getitem__, e.consumed)),
+                                    produced))
+        row[pos:pos + k] = e.produced
+    return history.History(h.system, h.start, tuple(events), tuple(symbols))
+
+
+def closure_reference(h):
+    """The left-first order of an unanchored history from the full
+    dependency closure: each step recounts which events are still blocked
+    and emits the available one with the leftmost line (rule index as the
+    tie-break), on exact fractions."""
+    n = len(h.events)
+    dep = history._dependency_closure(h)
+    lines = history.geometry(h).lines
+    emitted, order = set(), []
+    for _ in range(n):
+        avail = [j for j in range(n) if j not in emitted
+                 and not any(dep[i][j] for i in range(n) if i not in emitted)]
+        j = min(avail, key=lambda j: (lines[j][0], h.events[j].rule_index))
+        emitted.add(j)
+        order.append(j)
+    return reissue(h, order)
+
+
 @pytest.fixture
 def pair_system():
     # ab -> T and aTb -> T: non-erasing, so rows keep their total width
     return make([Rule(word("a b"), word("T")), Rule(word("a T b"), word("T"))], working="a b T")
+
+
+# a may be erased only as the last letter: "a b" needs b erased first
+RIGHT = load("right_anchor.nca")
 
 
 class TestConstruction:
@@ -34,6 +81,15 @@ class TestConstruction:
     def test_from_moves_rejects_out_of_range(self, fg2, position):
         with pytest.raises(ValueError, match="illegal move"):
             history.from_moves(fg2, word("a A b"), [Move(0, position)])
+
+    @pytest.mark.parametrize("moves, message", [
+        ([(0, 0)], "Move(rule_index=0, position=0) on ('a', 'b')"),  # a is not last
+        ([(1, 2)], "Move(rule_index=1, position=2) on ('a', 'b')"),  # past the end
+        ([(1, 1), (1, 0)], "Move(rule_index=1, position=0) on ('a',)"),  # no b left
+    ])
+    def test_illegal_move_message(self, moves, message):
+        with pytest.raises(ValueError, match=f"^illegal move {re.escape(message)}$"):
+            history.from_moves(RIGHT, word("a b"), moves)
 
     def test_words_and_rows(self, pair_system):
         h = history.from_moves(pair_system, word("a a b b"), [(0, 1), (1, 0)])
@@ -135,6 +191,30 @@ class TestSwap:
             history.swap_adjacent(h, 0)
 
 
+class TestAnchoredSwap:
+    def test_swap_that_breaks_an_anchor_rejected(self):
+        h = history.from_moves(RIGHT, word("a b"), [(1, 1), (0, 0)])
+        with pytest.raises(ValueError, match="anchor"):
+            history.swap_adjacent(h, 0)
+        assert not history.swappable(h, 0)
+
+    def test_left_anchor_checked_at_the_new_time(self):
+        sys = make([Rule(word("a"), (), Anchor.LEFT), Rule(word("b"), ())])
+        h = history.from_moves(sys, word("b a"), [(1, 0), (0, 0)])
+        assert not history.swappable(h, 0)
+
+    def test_swap_that_keeps_anchors_allowed(self):
+        h = history.from_moves(RIGHT, word("b a"), [(1, 0), (0, 0)])
+        g = history.swap_adjacent(h, 0)
+        assert history.moves_of(g) == [Move(0, 1), Move(1, 0)]
+        history.from_moves(RIGHT, h.start, history.moves_of(g))
+
+    def test_reorder_refuses_to_break_an_anchor(self):
+        h = history.from_moves(RIGHT, word("a b"), [(1, 1), (0, 0)])
+        with pytest.raises(ValueError, match="anchor"):
+            history.reorder_before(h, {1}, {0})
+
+
 class TestCanonicalize:
     def test_left_first(self):
         sys = make([Rule(word("a b"), ())])
@@ -151,26 +231,22 @@ class TestCanonicalize:
         c = history.canonicalize(h)
         assert history.canonicalize(c) == c
 
-    def test_matches_closure_reference(self):
-        # reference order: each step recounts, from the full dependency
-        # closure, which events are still blocked
-        def reference(h):
-            n = len(h.events)
-            dep = history._dependency_closure(h)
-            lines = history.geometry(h).lines
-            emitted, order = set(), []
-            for _ in range(n):
-                avail = [j for j in range(n) if j not in emitted
-                         and not any(dep[i][j] for i in range(n) if i not in emitted)]
-                j = min(avail, key=lambda j: (lines[j][0], h.events[j].rule_index))
-                emitted.add(j)
-                order.append(j)
-            return history._reissue(h, order)
+    def test_right_anchor_stays_legal(self):
+        h = history.from_moves(RIGHT, word("a b"), [(1, 1), (0, 0)])
+        assert history.canonicalize(h) == h
 
+    def test_history_that_does_not_replay_raises(self):
+        sys = make([Rule(word("a b"), ())], terminals="a b c")
+        broken = history.History(sys, word("a c b"), (history.Event(0, 0, (0, 2), ()),),
+                                 word("a c b"))
+        with pytest.raises(ValueError, match="does not replay"):
+            history.canonicalize(broken)
+
+    def test_matches_closure_reference(self):
         rng = random.Random(600)
         for _ in range(300):
             h = random_history(rng)
-            assert history.canonicalize(h) == reference(h)
+            assert history.canonicalize(h) == closure_reference(h)
         # erasing rules, where the dependency order is wider than precedence
         fg2 = load("fg2.nca")
         for _ in range(30):
@@ -178,7 +254,7 @@ class TestCanonicalize:
             w = tuple(u) + tuple(s.swapcase() for s in reversed(u))
             d = nca.decide(fg2, w, shuffle=rng.shuffle)
             h = history.from_moves(fg2, w, d.witness)
-            assert history.canonicalize(h) == reference(h)
+            assert history.canonicalize(h) == closure_reference(h)
 
     def test_random_scrambles_agree(self, pair_system):
         rng = random.Random(7)
@@ -298,28 +374,12 @@ class TestRankedOrder:
         want = [[j for j in range(i + 1, n)
                  if lines[i][0] < lines[j][1] and lines[j][0] < lines[i][1]]
                 for i in range(n)]
-        ranked = history._ranked(lines)
-        assert history._overlaps(ranked) == want
-        ends = [x for line in lines for x in line]
-        ranks = [r for line in ranked for r in line]
-        assert all((x < y) == (rx < ry) for x, rx in zip(ends, ranks) for y, ry in zip(ends, ranks))
+        assert history._overlaps(lines) == want
 
     @settings(max_examples=150, deadline=None)
     @given(histories())
     def test_canonicalize_matches_closure_reference(self, h):
-        # the reference order of TestCanonicalize.test_matches_closure_reference,
-        # on exact fractions
-        n = len(h.events)
-        dep = history._dependency_closure(h)
-        lines = history.geometry(h).lines
-        emitted, order = set(), []
-        for _ in range(n):
-            avail = [j for j in range(n) if j not in emitted
-                     and not any(dep[i][j] for i in range(n) if i not in emitted)]
-            j = min(avail, key=lambda j: (lines[j][0], h.events[j].rule_index))
-            emitted.add(j)
-            order.append(j)
-        assert history.canonicalize(h) == history._reissue(h, order)
+        assert history.canonicalize(h) == closure_reference(h)
 
     @settings(max_examples=150, deadline=None)
     @given(histories())
@@ -344,4 +404,36 @@ class TestRankedOrder:
         h = history.from_moves(SPLIT_ERASE, word("a b c a b"), [(0, 0), (1, 1), (2, 1)])
         g = history.geometry(h)
         assert g.lines[1] == (Fraction(3, 2), 5) and g.widths[-1] == Fraction(7, 4)
-        assert history._ranked(g.lines) == [(0, 2), (1, 3), (1, 3)]
+
+
+@st.composite
+def anchored_histories(draw):
+    """Random legal walks to a normal form on random ``a b c`` systems with
+    every anchor, erasing rules and splitting ones."""
+    system = make(draw(small_systems), terminals="a b c")
+    # words made of left-hand sides and loose letters, so that rules fire
+    chunks = st.sampled_from([r.lhs for r in system.rules] + [(x,) for x in "abc"])
+    w = sum(draw(st.lists(chunks, min_size=2, max_size=8)), ())
+    moves, current = [], w
+    while options := nca.legal_moves(system, current):
+        m = draw(st.sampled_from(options))
+        moves.append(m)
+        current = nca.apply_move(system, current, m)
+    return history.from_moves(system, w, moves)
+
+
+class TestAnchoredHistories:
+    @settings(max_examples=400, deadline=None)
+    @given(anchored_histories(), st.data())
+    def test_canonical_form(self, h, data):
+        c = history.canonicalize(h)
+        # replays exactly, letter ids included
+        assert history.from_moves(h.system, h.start, history.moves_of(c)) == c
+        assert history.equivalent(h, c)
+        assert history.canonicalize(c) == c
+        g = h
+        for i in data.draw(st.lists(st.integers(0, max(0, len(h) - 2)), max_size=12)):
+            if len(g) > 1 and history.swappable(g, i):
+                g = history.swap_adjacent(g, i)
+                history.from_moves(g.system, g.start, history.moves_of(g))  # raises unless legal
+                assert history.canonicalize(g) == c

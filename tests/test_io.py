@@ -256,6 +256,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "0 | b B a A | rule#2 @0"
 
+    def test_trace_canonical_keeps_anchors(self, capsys):
+        # rule#0 erases a only as the last letter, so b must go first
+        assert cli.main(["trace", fx("right_anchor.nca"), "a b", "--canonical"]) == 0
+        assert capsys.readouterr().out == "0 | a b | rule#1 @1\n1 | a | rule#0 @0\n2 | _ |\n"
+
     def test_trace_diagram(self, capsys):
         assert cli.main(["trace", fx("xanchor.nca"), "x", "--diagram"]) == 0
         out = capsys.readouterr().out
