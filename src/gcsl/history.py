@@ -5,21 +5,19 @@ letter-level provenance: each event consumes a block of letters and
 produces fresh ones.  From the provenance we compute the diagram
 geometry (exact rational widths and horizontal intervals, generations),
 the precedence order between substitutions, swap moves between
-equivalent reductions (each event keeping its rule's anchor), and the
+equivalent reductions (each event keeping its rule's anchor), the
 canonical left-first reordering, which one left-to-right replay of the
-letters finds without any geometry.
+letters finds without any geometry, and reorderings that pull one set of
+events before another by adjacent swaps alone.
 
-Two orders on events matter:
-
-* the *precedence* order, generated by "consumes a letter produced by";
-* the *dependency* order, generated by horizontal overlap of
-  substitution-line interiors, which only :func:`reorder_before` uses.
-
-For systems whose rules all have non-empty right hand sides the two
-coincide.  Rules producing the empty word can delete the letters that
-separated two blocks, making a later substitution's block contiguous
-only after the deletion; such pairs are precedence-incomparable but the
-deletion must still come first.  The dependency order captures this.
+The *precedence* order is generated by "consumes a letter produced by".
+Two precedence-incomparable events may still not commute: a rule producing
+the empty word can delete the letters that separated two blocks, making
+a later substitution's block contiguous only after the deletion, and an
+anchored rule may hold its anchor only at its own time.
+:func:`swap_adjacent` decides independence of two adjacent events,
+covering both cases.  The *dependency* order is whatever it refuses; no
+code builds that order as a graph.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ def rows(h: History) -> list[list[int]]:
 
 
 def words_of(h: History) -> list[Word]:
-    return [tuple(h.symbols[i] for i in row) for row in rows(h)]
+    return [tuple(map(h.symbols.__getitem__, row)) for row in rows(h)]
 
 
 Interval = tuple[Fraction, Fraction]
@@ -180,15 +178,11 @@ class Precedence:
 
 def precedence(h: History) -> Precedence:
     """Partial order generated by "consumes a letter produced by"."""
-    n = len(h.events)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for i, e1 in enumerate(h.events):
-        produced = set(e1.produced)
-        if not produced:
-            continue
-        for j in range(i + 1, n):
-            if produced & set(h.events[j].consumed):
-                succ[i].append(j)
+    succ: list[list[int]] = [[] for _ in h.events]
+    producer = {lid: i for i, e in enumerate(h.events) for lid in e.produced}
+    for j, e in enumerate(h.events):
+        for i in {producer[c] for c in e.consumed if c in producer}:
+            succ[i].append(j)
     reach = _closure(succ)
     geo = geometry(h)
     return Precedence(
@@ -196,45 +190,6 @@ def precedence(h: History) -> Precedence:
         lines=geo.lines,
         rule_indices=tuple(e.rule_index for e in h.events),
     )
-
-
-def _overlaps(lines: tuple[Interval, ...]) -> list[list[int]]:
-    """Direct edges of the dependency order, as successor lists: an earlier
-    event blocks a later one when their line interiors overlap horizontally."""
-    n = len(lines)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        lo1, hi1 = lines[i]
-        for j in range(i + 1, n):
-            lo2, hi2 = lines[j]
-            if lo1 < hi2 and lo2 < hi1:
-                succ[i].append(j)
-    return succ
-
-
-def _dependency_closure(h: History) -> list[list[bool]]:
-    """Closure of the overlap order."""
-    return _closure(_overlaps(geometry(h).lines))
-
-
-def _topological(succ: list[list[int]], key):
-    """Kahn's algorithm: yield each event once all its direct predecessors
-    have been yielded, always the available one minimising ``key``, which
-    is re-read at every step.  An event is available exactly when all its
-    transitive predecessors have been yielded, so no closure is needed."""
-    preds = [0] * len(succ)
-    for out in succ:
-        for k in out:
-            preds[k] += 1
-    avail = [j for j, p in enumerate(preds) if p == 0]
-    while avail:
-        j = min(avail, key=key)
-        avail.remove(j)
-        yield j
-        for k in succ[j]:
-            preds[k] -= 1
-            if preds[k] == 0:
-                avail.append(k)
 
 
 def swap_adjacent(h: History, i: int) -> History:
@@ -323,7 +278,10 @@ def equivalent(h1: History, h2: History) -> bool:
 
 def reorder_with_swaps(h: History, first, second) -> tuple[History, list[int]]:
     """Like :func:`reorder_before`, also returning the indices of the
-    adjacent swaps performed (for replay checks)."""
+    adjacent swaps performed (for replay checks).  Events of ``first`` are
+    pulled left by adjacent swaps; an event that refuses to let a pulled
+    one pass must precede it, so it is pulled too.  At the fixed point the
+    pulled events precede all others, and both groups keep their order."""
     first, second = set(first), set(second)
     n = len(h.events)
     for s in first | second:
@@ -331,42 +289,32 @@ def reorder_with_swaps(h: History, first, second) -> tuple[History, list[int]]:
             raise IndexError(f"no event {s}")
     if first & second:
         raise ValueError("event sets overlap")
-    succ = _overlaps(geometry(h).lines)
-    dep = _closure(succ)
-    for a in first:
-        for b in second:
-            if dep[a][b] or dep[b][a]:
-                raise ValueError(f"events {a} and {b} are order-dependent")
-
-    # target order: emit available first-set events eagerly, hold the
-    # second set back until the first set is exhausted
-    remaining_first = set(first)
-
-    def rank(j):
-        if j in first:
-            return (0, j)
-        return (2 if j in second and remaining_first else 1, j)
-
-    target = []
-    for j in _topological(succ, rank):
-        remaining_first.discard(j)
-        target.append(j)
-
-    # realise the target order by bubbling each event left in turn
-    perm = list(range(n))
+    pulled = set(first)
+    ids = list(range(n))  # original index of the event at each time
     swaps = []
-    for k, want in enumerate(target):
-        j = perm.index(want)
-        while j > k:
-            h = swap_adjacent(h, j - 1)
-            perm[j - 1], perm[j] = perm[j], perm[j - 1]
-            swaps.append(j - 1)
-            j -= 1
+    changed = True
+    while changed:
+        changed = False
+        for t in range(n - 1):
+            if ids[t + 1] in pulled and ids[t] not in pulled:
+                changed = True
+                try:
+                    h = swap_adjacent(h, t)
+                except ValueError as err:
+                    if ids[t] in second:
+                        raise ValueError(f"event {ids[t]} must precede event {ids[t + 1]}; "
+                                         f"swap at time {t}: {err}") from None
+                    pulled.add(ids[t])
+                else:
+                    ids[t], ids[t + 1] = ids[t + 1], ids[t]
+                    swaps.append(t)
     return h, swaps
 
 
 def reorder_before(h: History, first, second) -> History:
     """An equivalent history in which every event of ``first`` precedes
-    every event of ``second``.  The two sets must be disjoint and pairwise
-    independent across each other."""
+    every event of ``second``.  The two sets must be disjoint, and no event
+    of ``second`` may have to precede an event of ``first``: an event of
+    ``second`` that ``swap_adjacent`` will not move past one that must go
+    first raises ``ValueError`` with the swap's reason."""
     return reorder_with_swaps(h, first, second)[0]

@@ -139,14 +139,9 @@ def _scan(free, w: Word, lo: int, hi: int, out: list) -> None:
     dict lookup per window of each left-hand-side length."""
     n = len(w)
     for k, table in free:
-        start = max(lo - k + 1, 0)
-        stop = min(hi, n - k + 1)  # one past the last window start
-        if start >= stop:
-            continue
-        seg = w[start:stop + k - 1]
-        # zipping k shifted copies of seg yields its windows of length k
-        windows = zip(*[seg[j:] for j in range(k)])
-        for pos, hits in enumerate(map(table.get, windows), start):
+        get = table.get
+        for pos in range(max(lo - k + 1, 0), min(hi, n - k + 1)):
+            hits = get(w[pos:pos + k])
             if hits:
                 for i in hits:
                     out.append((i, pos))

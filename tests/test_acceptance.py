@@ -122,6 +122,26 @@ def random_history(rng, min_events=0):
             return history.from_moves(sys, w, moves)
 
 
+def overlaps(lines):
+    """Direct edges of the dependency order, as successor lists: an earlier
+    event blocks a later one when their line interiors overlap horizontally."""
+    n = len(lines)
+    succ = [[] for _ in range(n)]
+    for i in range(n):
+        lo1, hi1 = lines[i]
+        for j in range(i + 1, n):
+            lo2, hi2 = lines[j]
+            if lo1 < hi2 and lo2 < hi1:
+                succ[i].append(j)
+    return succ
+
+
+def dependency_closure(h):
+    """Closure of the overlap order: the reference dependency order of an
+    unanchored history, from its exact diagram geometry."""
+    return history._closure(overlaps(history.geometry(h).lines))
+
+
 def test_criterion_6_history_calculus_invariants():
     rng = random.Random(2026)
     for _ in range(200):
@@ -161,7 +181,7 @@ def test_criterion_7_reordering_independent_groups():
         k1 = rng.randint(1, max(1, n // 2))
         k2 = rng.randint(1, max(1, n - k1))
         first, second = set(ids[:k1]), set(ids[k1:k1 + k2])
-        dep = history._dependency_closure(h)
+        dep = dependency_closure(h)
         if any(dep[i][j] or dep[j][i] for i in first for j in second):
             continue
         r, swaps = history.reorder_with_swaps(h, first, second)

@@ -10,7 +10,7 @@ from gcsl.core import Alphabet, Anchor, word
 from gcsl.nca import Move, NcaSystem, Rule
 
 from conftest import load
-from test_acceptance import random_history
+from test_acceptance import dependency_closure, random_history
 from test_nca import small_systems
 
 
@@ -50,7 +50,7 @@ def closure_reference(h):
     and emits the available one with the leftmost line (rule index as the
     tie-break), on exact fractions."""
     n = len(h.events)
-    dep = history._dependency_closure(h)
+    dep = dependency_closure(h)
     lines = history.geometry(h).lines
     emitted, order = set(), []
     for _ in range(n):
@@ -301,6 +301,13 @@ class TestReorder:
             g = history.swap_adjacent(g, i)
         assert g == r
 
+    def test_first_may_feed_second(self, pair_system):
+        # event 1 makes the T that event 2 consumes; only event 0 must move
+        h = history.from_moves(pair_system, word("a a b b a b"), [(0, 4), (0, 1), (1, 0)])
+        r, swaps = history.reorder_with_swaps(h, {1}, {0, 2})
+        assert history.moves_of(r) == [Move(0, 1), Move(0, 3), Move(1, 0)]
+        assert swaps == [0]
+
     def test_precondition_violated(self, pair_system):
         h = history.from_moves(pair_system, word("a a b b"), [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
@@ -368,16 +375,6 @@ def histories(draw):
 class TestRankedOrder:
     @settings(max_examples=150, deadline=None)
     @given(histories())
-    def test_overlaps_match_fraction_comparison(self, h):
-        lines = history.geometry(h).lines
-        n = len(lines)
-        want = [[j for j in range(i + 1, n)
-                 if lines[i][0] < lines[j][1] and lines[j][0] < lines[i][1]]
-                for i in range(n)]
-        assert history._overlaps(lines) == want
-
-    @settings(max_examples=150, deadline=None)
-    @given(histories())
     def test_canonicalize_matches_closure_reference(self, h):
         assert history.canonicalize(h) == closure_reference(h)
 
@@ -437,3 +434,50 @@ class TestAnchoredHistories:
                 g = history.swap_adjacent(g, i)
                 history.from_moves(g.system, g.start, history.moves_of(g))  # raises unless legal
                 assert history.canonicalize(g) == c
+
+
+def precedence_reference(h):
+    """``before`` of the precedence order from pairwise letter-set
+    intersections, closed by walking the edges backwards in time."""
+    n = len(h)
+    below = [set() for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if set(h.events[i].produced) & set(h.events[j].consumed):
+                below[i] |= {j} | below[j]
+    return tuple(tuple(j in below[i] for j in range(n)) for i in range(n))
+
+
+# the pool above, and the unanchored random walks of the acceptance tests
+reference_histories = st.one_of(
+    histories(), st.integers(0, 2**32).map(lambda seed: random_history(random.Random(seed))))
+
+
+class TestAgainstReferenceOrders:
+    @settings(max_examples=150, deadline=None)
+    @given(reference_histories)
+    def test_precedence_matches_pairwise_reference(self, h):
+        assert history.precedence(h).before == precedence_reference(h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reference_histories, st.data())
+    def test_reorder_succeeds_iff_closure_allows(self, h, data):
+        n = len(h)
+        ids = data.draw(st.permutations(range(n)))
+        k1 = data.draw(st.integers(0, n))
+        k2 = data.draw(st.integers(0, n - k1))
+        first, second = set(ids[:k1]), set(ids[k1:k1 + k2])
+        dep = dependency_closure(h)
+        if any(dep[b][a] for a in first for b in second):
+            with pytest.raises(ValueError, match="must precede"):
+                history.reorder_with_swaps(h, first, second)
+            return
+        r, swaps = history.reorder_with_swaps(h, first, second)
+        g, pos = h, list(range(n))
+        for i in swaps:
+            g = history.swap_adjacent(g, i)
+            pos[i], pos[i + 1] = pos[i + 1], pos[i]
+        assert g == r
+        where = {e: t for t, e in enumerate(pos)}
+        assert all(where[a] < where[b] for a in first for b in second)
+        assert history.equivalent(h, r)
