@@ -3,9 +3,11 @@
 A grammar is growing when the start symbol never reappears on a right
 hand side and every production either rewrites the start symbol or
 strictly increases length.  Membership is decided by running the
-reversed productions as a length-reducing rewriting system; language
-enumeration is a forward breadth-first closure and serves as the
-independent oracle.
+reversed productions as a length-reducing rewriting system, a start
+production ``S -> v`` becoming the erase ``v -> _ @both``: a non-empty
+word is in the language exactly when that system reduces it to the empty
+word.  Language enumeration is a forward breadth-first closure and serves
+as the independent oracle.
 """
 
 from __future__ import annotations
@@ -56,26 +58,19 @@ class Grammar:
         return nca.index_rules(self.productions)
 
     @functools.cached_property
-    def _backward(self) -> tuple[RuleIndex, frozenset[Word], bool]:
-        """The grammar read right to left, built once: the index of one
-        length-reducing rule per production, in production order (a start
-        production ``S -> v`` becomes ``v -> _ @both``, and ``S -> _`` gives
-        none), the words ``v`` (the backward-search goals), and whether
-        ``S -> _`` is a production.  Every non-start production grows, so
-        every reversed one shortens."""
+    def _backward(self) -> RuleIndex:
+        """The grammar read right to left, built once: one length-reducing
+        rule per production, indexed.  The start productions ``S -> v``
+        come first, as ``v -> _ @both`` (``S -> _`` gives none), then every
+        other production reversed, in production order.  Every non-start
+        production grows, so every reversed one shortens.  An erase matches
+        only its own word ``v`` and has a lower index than any other rule,
+        so on ``v`` it is the first of the sorted moves."""
         sigma_lhs = (self.start,)
-        rules = []
-        goals = set()
-        eps = False
-        for p in self.productions:
-            if p.lhs != sigma_lhs:
-                rules.append(Rule(p.rhs, p.lhs, p.anchor))
-            elif p.rhs:
-                rules.append(Rule(p.rhs, (), Anchor.BOTH))
-                goals.add(p.rhs)
-            else:
-                eps = True
-        return nca.index_rules(tuple(rules)), frozenset(goals), eps
+        erases = [Rule(p.rhs, (), Anchor.BOTH) for p in self.productions
+                  if p.lhs == sigma_lhs and p.rhs]
+        reversals = [Rule(p.rhs, p.lhs, p.anchor) for p in self.productions if p.lhs != sigma_lhs]
+        return nca.index_rules(tuple(erases + reversals))
 
 
 def _validate(g: Grammar) -> list[str]:
@@ -162,22 +157,18 @@ def generate_language(g: Grammar, max_len: int) -> set[Word]:
 
 def member(g: Grammar, w: Word, budget: Budget = nca.DEFAULT_BUDGET,
            *, memo: Optional[set] = None) -> Decision:
-    """Is ``w`` in the language of ``g``?  Backward search: each production
-    is run right-to-left as a length-reducing rule, accepting on reaching
-    the rhs of any start production.  The witness indexes the rules of
-    :func:`gcsl.transforms.gcsg_to_nca`, which reads ``g`` the same way.
-    The ``@both`` rules of start productions never fire here: they match
-    only a goal word, and the search tests every word against the goals
-    before expanding it."""
-    index, goals, eps = g._backward
+    """Is ``w`` in the language of ``g``?  The empty word is a member
+    exactly when ``S -> _`` is a production, and any other word exactly
+    when the grammar's reversed rules (``Grammar._backward``) reduce it to
+    the empty word.  That search is :func:`gcsl.nca.decide` on
+    :func:`gcsl.transforms.gcsg_to_nca`, whose rules the witness indexes."""
     bad = [s for s in w if s not in g.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
     if w == ():
+        eps = Production((g.start,), ()) in g.productions
         return Decision(Status.ACCEPTED, ()) if eps else Decision(Status.REJECTED)
-    if memo is None:
-        memo = set()
-    return nca._search(index, w, goals.__contains__, budget, memo, None)
+    return nca._search(g._backward, w, budget, memo)
 
 
 def language_by_member(g: Grammar, max_len: int, *,

@@ -62,10 +62,11 @@ def from_moves(system: NcaSystem, start: Word, moves) -> History:
     events = []
     for m in moves:
         m = Move(*m)
-        rule = system.rules[m.rule_index]
-        k = len(rule.lhs)
+        rule = system.rules[m.rule_index] if 0 <= m.rule_index < len(system.rules) else None
+        k = len(rule.lhs) if rule is not None else 0
         consumed = tuple(row[m.position:m.position + k])
-        if not (0 <= m.position and tuple(symbols[i] for i in consumed) == rule.lhs
+        if not (rule is not None and 0 <= m.position
+                and tuple(symbols[i] for i in consumed) == rule.lhs
                 and anchor_ok(rule.anchor, m.position, k, len(row))):
             raise ValueError(f"illegal move {m} on {tuple(symbols[i] for i in row)}")
         produced = tuple(range(len(symbols), len(symbols) + len(rule.rhs)))

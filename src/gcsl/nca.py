@@ -112,7 +112,7 @@ class Status(enum.Enum):
 @dataclass(frozen=True)
 class Decision:
     status: Status
-    # sequence of moves reducing the input to the goal, on acceptance
+    # sequence of moves reducing the input to the empty word, on acceptance
     witness: Optional[tuple[Move, ...]] = None
 
     @property
@@ -207,23 +207,18 @@ def legal_moves(sys: NcaSystem, w: Word) -> list[Move]:
 
 
 def apply_move(sys: NcaSystem, w: Word, m: Move) -> Word:
-    rule = sys.rules[m.rule_index]
-    if not occurs_at(w, rule.lhs, m.position, rule.anchor):
+    rule = sys.rules[m.rule_index] if 0 <= m.rule_index < len(sys.rules) else None
+    if rule is None or not occurs_at(w, rule.lhs, m.position, rule.anchor):
         raise ValueError(f"illegal move {m} on {w}")
     return splice(w, m.position, len(rule.lhs), rule.rhs)
 
 
-def _search(
-    index: RuleIndex,
-    w: Word,
-    is_goal: Callable[[Word], bool],
-    budget: Budget,
-    memo: set,
-    shuffle=None,
-) -> Decision:
-    """Exhaustive DFS over rule applications, shared by NCA decide and
-    grammar membership.  ``memo`` collects words from which no goal is
-    reachable and may be shared across calls on the same rule set.  The
+def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set],
+            shuffle=None) -> Decision:
+    """Exhaustive DFS over rule applications for a reduction of ``w`` to
+    the empty word, the one goal of NCA decide and grammar membership.
+    ``memo`` collects words that do not reduce to it and may be shared
+    across calls on the same rule set; ``None`` starts a fresh one.  The
     path lives on an explicit stack, so no recursion limit bounds its depth.
 
     The root's moves come from a full scan (:func:`_moves`); each child's
@@ -233,9 +228,11 @@ def _search(
     may permute it in place to change the order in which they are tried;
     children are derived from the sorted list."""
     rules = index.rules
-    if is_goal(w):
+    if not w:
         return Decision(Status.ACCEPTED, ())
-    if w in memo:
+    if memo is None:
+        memo = set()
+    elif w in memo:
         return Decision(Status.REJECTED)
     nodes = 0
     stack: list = []  # (word, its sorted moves, iterator over untried ones), root first
@@ -263,7 +260,7 @@ def _search(
             i, p = m
             r = rules[i]
             child = splice(parent, p, len(r.lhs), r.rhs)
-            if is_goal(child):
+            if not child:
                 path.append(m)
                 return Decision(Status.ACCEPTED, tuple(map(Move._make, path)))
             if child not in memo:
@@ -296,7 +293,7 @@ def decide(
     bad = [s for s in w if s not in sys.alphabet.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
-    return decide_over_working(sys, w, budget, memo=memo, shuffle=shuffle)
+    return _search(sys._index, w, budget, memo, shuffle)
 
 
 def decide_over_working(
@@ -310,9 +307,7 @@ def decide_over_working(
     bad = [s for s in w if s not in sys.alphabet.working]
     if bad:
         raise ValueError(f"input symbols outside working alphabet: {sorted(set(bad))}")
-    if memo is None:
-        memo = set()
-    return _search(sys._index, w, lambda word: not word, budget, memo, shuffle)
+    return _search(sys._index, w, budget, memo, shuffle)
 
 
 def _enumerate(

@@ -130,14 +130,14 @@ def deanchor(g: Grammar) -> Grammar:
 def gcsg_to_nca(g: Grammar) -> NcaSystem:
     """Reverse a standard growing grammar (with the empty word in its
     language) into an equivalent length-reducing system: start productions
-    become both-anchored erasing rules, everything else runs backwards."""
-    index, _, eps = g._backward
+    become both-anchored erasing rules, listed first, and everything else
+    runs backwards.  :func:`gcsl.grammar.member` searches these rules."""
     if g.flavor is not Flavor.STANDARD:
         raise ValueError("gcsg_to_nca requires a standard (anchor-free) grammar")
-    if not eps:
+    if Production((g.start,), ()) not in g.productions:
         raise ValueError("grammar must contain the start -> empty word production")
     working = g.terminals | (g.nonterminals - {g.start})
-    return NcaSystem(Alphabet(g.terminals, frozenset(working)), index.rules)
+    return NcaSystem(Alphabet(g.terminals, frozenset(working)), g._backward.rules)
 
 
 def _fresh_start(taken) -> Symbol:

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from gcsl import grammar, nca, transforms
+from gcsl import grammar, nca, textio, transforms
 from gcsl.core import Anchor, ValidationError, word
 from gcsl.grammar import Flavor, Grammar, Production
 
@@ -132,7 +132,6 @@ class TestMember:
     def test_witness_replays_on_gcsg_to_nca(self, fixture):
         g = load(fixture)
         sys = transforms.gcsg_to_nca(g)
-        goals = {p.rhs for p in g.productions if p.lhs == (g.start,) and p.rhs}
         letters = sorted(g.terminals)
         for n in range(1, 9):
             for w in itertools.product(letters, repeat=n):
@@ -140,7 +139,22 @@ class TestMember:
                 if d.accepted:
                     for m in d.witness:
                         w = nca.apply_move(sys, w, m)
-                    assert w in goals
+                    assert w == ()
+
+    @pytest.mark.parametrize("source", ["anbn.gcsg", "dyck.gcsg", "nca_to_gcsg(fg2)"])
+    def test_member_is_decide_on_gcsg_to_nca(self, source):
+        # the same decision, witness and memo on every word of up to six letters
+        if source.endswith(".gcsg"):
+            g = load(source)
+        else:
+            converted = transforms.nca_to_gcsg(load("fg2.nca"))
+            g = textio.parse_system(textio.serialize_system(converted))
+        sys = transforms.gcsg_to_nca(g)
+        letters = sorted(g.terminals)
+        m1, m2 = set(), set()
+        for w in (w for n in range(7) for w in itertools.product(letters, repeat=n)):
+            assert grammar.member(g, w, memo=m1) == nca.decide(sys, w, memo=m2), w
+            assert m1 == m2, w
 
     def test_validates_once_per_grammar(self, monkeypatch):
         calls = []

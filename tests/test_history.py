@@ -77,10 +77,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             history.from_moves(fg2, word("a b"), [Move(0, 0)])
 
-    @pytest.mark.parametrize("position", [-1, -2, 2, 3])
-    def test_from_moves_rejects_out_of_range(self, fg2, position):
+    @pytest.mark.parametrize("rule_index, position", [
+        *(pytest.param(0, p, id=str(p)) for p in (-1, -2, 2, 3)),
+        *(pytest.param(i, 0, id=f"rule{i}") for i in (-4, 4)),
+    ])
+    def test_from_moves_rejects_out_of_range(self, fg2, rule_index, position):
         with pytest.raises(ValueError, match="illegal move"):
-            history.from_moves(fg2, word("a A b"), [Move(0, position)])
+            history.from_moves(fg2, word("a A b"), [Move(rule_index, position)])
 
     @pytest.mark.parametrize("moves, message", [
         ([(0, 0)], "Move(rule_index=0, position=0) on ('a', 'b')"),  # a is not last

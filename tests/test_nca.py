@@ -62,11 +62,14 @@ class TestMoves:
         with pytest.raises(ValueError):
             nca.apply_move(sys, word("a b"), Move(0, 1))
 
-    @pytest.mark.parametrize("position", [-1, -2, 2, 3])
-    def test_apply_out_of_range_rejected(self, position):
+    @pytest.mark.parametrize("rule_index, position", [
+        *(pytest.param(0, p, id=str(p)) for p in (-1, -2, 2, 3)),
+        *(pytest.param(i, 0, id=f"rule{i}") for i in (-1, 1)),
+    ])
+    def test_apply_out_of_range_rejected(self, rule_index, position):
         sys = make([Rule(word("a b"), ())])
         with pytest.raises(ValueError, match="illegal move"):
-            nca.apply_move(sys, word("a b"), Move(0, position))
+            nca.apply_move(sys, word("a b"), Move(rule_index, position))
 
 
 def scan_moves(rules, w):
@@ -84,7 +87,7 @@ def indexed_rules(name, to_gcsg):
         system = transforms.nca_to_gcsg(system)
     if isinstance(system, NcaSystem):
         return system._index, sorted(system.alphabet.working)
-    return system._backward[0], sorted(system.alphabet)
+    return system._backward, sorted(system.alphabet)
 
 
 class TestRuleIndex:
@@ -200,15 +203,15 @@ class TestDerivedMoves:
     @settings(max_examples=150, deadline=None)
     @given(rules=small_systems, w=small_words, seed=st.integers(0, 2**32))
     def test_search_expands_each_word_with_its_full_scan(self, rules, w, seed, shuffled):
-        # the search tests each word against the goal just before it
-        # expands it, and hands the word's sorted moves to ``shuffle``
+        # the search expands the root, then the child it last spliced, and
+        # hands that word's sorted moves to ``shuffle``
         index = nca.index_rules(rules)
         rng = random.Random(seed)
-        seen = []
+        seen = [w]
 
-        def is_goal(word):
-            seen.append(word)
-            return not word
+        def spy(*args):
+            seen.append(splice(*args))
+            return seen[-1]
 
         def check(order):
             assert order == nca._moves(index, seen[-1])
@@ -216,7 +219,9 @@ class TestDerivedMoves:
             if shuffled:
                 rng.shuffle(order)
 
-        d = nca._search(index, w, is_goal, Budget(max_nodes=300), set(), check)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nca, "splice", spy)
+            d = nca._search(index, w, Budget(max_nodes=300), set(), check)
         if d.accepted:
             for i, p in d.witness:
                 r = rules[i]
