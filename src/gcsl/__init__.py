@@ -3,15 +3,15 @@ algorithms), growing context-sensitive grammars, the constructive
 conversions between them, and the reduction-history calculus."""
 
 from .core import (
-    Alphabet, Anchor, Symbol, ValidationError, Word, occurrences, splice, word, word_str,
+    Alphabet, Anchor, Symbol, ValidationError, Word, splice, word, word_str,
 )
 from .grammar import Flavor, Grammar, Production
 from .nca import Budget, Decision, Move, NcaSystem, Rule, Status
 from .transforms import deanchor, eliminate_terminals, gcsg_to_nca, nca_to_gcsg
 
 __all__ = [
-    "Alphabet", "Anchor", "Symbol", "ValidationError", "Word", "occurrences", "splice",
-    "word", "word_str", "Flavor", "Grammar", "Production", "Budget", "Decision",
+    "Alphabet", "Anchor", "Symbol", "ValidationError", "Word", "splice", "word",
+    "word_str", "Flavor", "Grammar", "Production", "Budget", "Decision",
     "Move", "NcaSystem", "Rule", "Status", "deanchor", "eliminate_terminals",
     "gcsg_to_nca", "nca_to_gcsg",
 ]

@@ -36,11 +36,10 @@ EXIT_INTERNAL = 4
 
 
 def _load(path: str):
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
     try:
-        return parse_system(text)
-    except (ParseError, ValidationError) as e:
+        with open(path, encoding="utf-8") as f:
+            return parse_system(f.read())
+    except (UnicodeDecodeError, ParseError, ValidationError) as e:
         raise _CliError(f"{path}: {e}")
 
 
@@ -114,10 +113,10 @@ def cmd_decide(args) -> int:
     accepted = _accepted(system, args.word, args.max_nodes)
     if accepted is None:
         return EXIT_NEGATIVE
-    print("accepted")
-    if args.trace:
+    if args.trace:  # an unwritable trace must not follow a printed verdict
         h = history_mod.from_moves(system, *accepted)
         _emit(format_trace(h), args.trace)
+    print("accepted")
     return EXIT_OK
 
 
@@ -165,7 +164,7 @@ def cmd_trace(args) -> int:
 def _int_at_least(low: int):
     """An argparse type for integers of at least ``low``."""
     def parse(text: str) -> int:
-        if not text.isdigit() or int(text) < low:
+        if not text.isdecimal() or int(text) < low:
             raise argparse.ArgumentTypeError(f"expected an integer of at least {low}: {text!r}")
         return int(text)
     return parse

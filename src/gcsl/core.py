@@ -86,24 +86,6 @@ def anchor_ok(anchor: Anchor, start: int, needle_len: int, haystack_len: int) ->
     return start == 0 and needle_len == haystack_len
 
 
-def occurrences(haystack: Word, needle: Word, anchor: Anchor = Anchor.NONE) -> list[int]:
-    """All start indices of ``needle`` in ``haystack`` honouring ``anchor``.
-
-    Overlapping occurrences are all reported, in ascending order.  The
-    needle must be non-empty.
-    """
-    if not needle:
-        raise ValueError("needle must be non-empty")
-    n, k = len(haystack), len(needle)
-    if anchor is Anchor.LEFT or anchor is Anchor.BOTH:
-        candidates = range(0, 1)
-    elif anchor is Anchor.RIGHT:
-        candidates = range(n - k, n - k + 1) if n >= k else range(0)
-    else:
-        candidates = range(n - k + 1)
-    return [i for i in candidates if occurs_at(haystack, needle, i, anchor)]
-
-
 def occurs_at(haystack: Word, needle: Word, start: int, anchor: Anchor = Anchor.NONE) -> bool:
     """Does ``needle`` occur at ``start`` in ``haystack``, honouring ``anchor``?
     Looks at one window only; a negative ``start`` or one past the end is

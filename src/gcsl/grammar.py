@@ -107,15 +107,6 @@ def _validate(g: Grammar) -> list[str]:
     return v
 
 
-def derive_successors(g: Grammar, sentential: Word) -> list[Word]:
-    """All words reachable from ``sentential`` by one production, deduplicated."""
-    out = set()
-    for i, pos in nca._moves(g._forward, sentential):
-        p = g.productions[i]
-        out.add(splice(sentential, pos, len(p.lhs), p.rhs))
-    return sorted(out)
-
-
 def generate_language(g: Grammar, max_len: int) -> set[Word]:
     """All terminal words of length <= max_len derivable from the start symbol.
 
@@ -170,10 +161,3 @@ def member(g: Grammar, w: Word, budget: Budget = nca.DEFAULT_BUDGET,
         return Decision(Status.ACCEPTED, ()) if eps else Decision(Status.REJECTED)
     return nca._search(g._backward, w, budget, memo)
 
-
-def language_by_member(g: Grammar, max_len: int, *,
-                       budget: Budget = nca.DEFAULT_BUDGET) -> set[Word]:
-    """Language up to ``max_len`` via the backward-search membership test,
-    sharing one memo set across all queried words."""
-    return nca._enumerate(g.terminals, max_len,
-                          lambda w, memo: member(g, w, budget, memo=memo))

@@ -3,12 +3,13 @@
 A history records one reduction as a list of substitution events with
 letter-level provenance: each event consumes a block of letters and
 produces fresh ones.  From the provenance we compute the diagram
-geometry (exact rational widths and horizontal intervals, generations),
-the precedence order between substitutions, swap moves between
-equivalent reductions (each event keeping its rule's anchor), the
-canonical left-first reordering, which one left-to-right replay of the
-letters finds without any geometry, and reorderings that pull one set of
-events before another by adjacent swaps alone.
+geometry (exact rational widths and horizontal intervals, generations,
+substitution lines) that :func:`gcsl.textio.format_diagram` draws, the
+precedence order between substitutions as a closure matrix, swap moves
+between equivalent reductions (each event keeping its rule's anchor),
+the canonical left-first reordering, which one left-to-right replay of
+the letters finds without any geometry, and reorderings that pull one
+set of events before another by adjacent swaps alone.
 
 The *precedence* order is generated by "consumes a letter produced by".
 Two precedence-incomparable events may still not commute: a rule producing
@@ -152,45 +153,16 @@ def _closure(succ: list[list[int]]) -> list[list[bool]]:
     return reach
 
 
-@dataclass(frozen=True)
-class Precedence:
-    """The substitution order generated by letter consumption.
-
-    ``before[i][j]`` is the transitive closure; for incomparable pairs
-    ``left_of`` says which line lies further left (by interval start,
-    with rule index as the documented tie-break).
-    """
-
-    before: tuple[tuple[bool, ...], ...]
-    lines: tuple[Interval, ...]
-    rule_indices: tuple[int, ...]
-
-    def comparable(self, i: int, j: int) -> bool:
-        return self.before[i][j] or self.before[j][i]
-
-    def left_of(self, i: int, j: int) -> int:
-        """Which of two incomparable events lies to the left; returns its index."""
-        if self.comparable(i, j):
-            raise ValueError(f"events {i} and {j} are comparable")
-        ki = (self.lines[i][0], self.rule_indices[i])
-        kj = (self.lines[j][0], self.rule_indices[j])
-        return i if ki < kj else j
-
-
-def precedence(h: History) -> Precedence:
-    """Partial order generated by "consumes a letter produced by"."""
+def precedence(h: History) -> tuple[tuple[bool, ...], ...]:
+    """The partial order generated by "consumes a letter produced by", as
+    the matrix ``before`` of its closure: ``before[i][j]`` says that event
+    ``i`` precedes event ``j``."""
     succ: list[list[int]] = [[] for _ in h.events]
     producer = {lid: i for i, e in enumerate(h.events) for lid in e.produced}
     for j, e in enumerate(h.events):
         for i in {producer[c] for c in e.consumed if c in producer}:
             succ[i].append(j)
-    reach = _closure(succ)
-    geo = geometry(h)
-    return Precedence(
-        before=tuple(tuple(r) for r in reach),
-        lines=geo.lines,
-        rule_indices=tuple(e.rule_index for e in h.events),
-    )
+    return tuple(map(tuple, _closure(succ)))
 
 
 def swap_adjacent(h: History, i: int) -> History:
@@ -223,14 +195,6 @@ def swap_adjacent(h: History, i: int) -> History:
     events[i] = Event(e2.rule_index, p2, e2.consumed, e2.produced)
     events[i + 1] = Event(e1.rule_index, p1, e1.consumed, e1.produced)
     return History(h.system, h.start, tuple(events), h.symbols)
-
-
-def swappable(h: History, i: int) -> bool:
-    try:
-        swap_adjacent(h, i)
-    except ValueError:
-        return False
-    return True
 
 
 def canonicalize(h: History) -> History:

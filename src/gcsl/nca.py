@@ -13,7 +13,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .core import Alphabet, Anchor, ValidationError, Word, anchor_ok, occurs_at, splice
 
@@ -213,8 +213,7 @@ def apply_move(sys: NcaSystem, w: Word, m: Move) -> Word:
     return splice(w, m.position, len(rule.lhs), rule.rhs)
 
 
-def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set],
-            shuffle=None) -> Decision:
+def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> Decision:
     """Exhaustive DFS over rule applications for a reduction of ``w`` to
     the empty word, the one goal of NCA decide and grammar membership.
     ``memo`` collects words that do not reduce to it and may be shared
@@ -223,10 +222,8 @@ def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set],
 
     The root's moves come from a full scan (:func:`_moves`); each child's
     are derived from its parent's (:func:`_derive`), which looks up only
-    the windows near the rewritten letters.  ``shuffle`` gets a fresh list
-    of each word's moves, :class:`Move` tuples in lexicographic order, and
-    may permute it in place to change the order in which they are tried;
-    children are derived from the sorted list."""
+    the windows near the rewritten letters.  Moves are tried in
+    lexicographic order."""
     rules = index.rules
     if not w:
         return Decision(Status.ACCEPTED, ())
@@ -249,11 +246,7 @@ def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set],
                 moves = _derive(index, stack[-1][1], word, p, len(r.lhs), len(r.rhs))
             else:
                 moves = _moves(index, word)
-            order = moves
-            if shuffle is not None:
-                order = list(map(Move._make, moves))
-                shuffle(order)
-            stack.append((word, moves, iter(order)))
+            stack.append((word, moves, iter(moves)))
         parent, _, untried = stack[-1]
         word = None
         for m in untried:
@@ -283,52 +276,14 @@ def decide(
     budget: Budget = DEFAULT_BUDGET,
     *,
     memo: Optional[set] = None,
-    shuffle=None,
 ) -> Decision:
-    """Does ``w`` reduce to the empty word?  ``w`` must be a terminal word;
-    use :func:`decide_over_working` for intermediate words over the full
-    working alphabet.  ``shuffle``, if given, is called with a fresh list
-    of each search node's moves (:class:`Move` tuples, sorted) and may
-    permute it in place to change the order in which they are tried."""
+    """Does ``w`` reduce to the empty word?  ``w`` must be a terminal word.
+    ``memo``, if given, collects words that do not reduce and may be shared
+    across calls on the same system."""
     bad = [s for s in w if s not in sys.alphabet.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
-    return _search(sys._index, w, budget, memo, shuffle)
-
-
-def decide_over_working(
-    sys: NcaSystem,
-    w: Word,
-    budget: Budget = DEFAULT_BUDGET,
-    *,
-    memo: Optional[set] = None,
-    shuffle=None,
-) -> Decision:
-    bad = [s for s in w if s not in sys.alphabet.working]
-    if bad:
-        raise ValueError(f"input symbols outside working alphabet: {sorted(set(bad))}")
-    return _search(sys._index, w, budget, memo, shuffle)
-
-
-def _enumerate(
-    terminals, max_len: int, accepts: Callable[[Word, set], Decision]
-) -> set[Word]:
-    """All words over ``terminals`` of length at most ``max_len`` that
-    ``accepts(word, memo)`` accepts.  Words are queried in shortlex order
-    and share one memo set."""
-    if max_len > ENUMERATION_GUARD:
-        raise ValueError(f"max_len {max_len} exceeds enumeration guard {ENUMERATION_GUARD}")
-    letters = sorted(terminals)
-    memo: set = set()
-    out: set[Word] = set()
-    for n in range(max_len + 1):
-        for combo in itertools.product(letters, repeat=n):
-            d = accepts(combo, memo)
-            if d.status is Status.BUDGET_EXCEEDED:
-                raise BudgetExceededError(f"budget exceeded while deciding {combo}")
-            if d.accepted:
-                out.add(combo)
-    return out
+    return _search(sys._index, w, budget, memo)
 
 
 def enumerate_language(
@@ -337,6 +292,18 @@ def enumerate_language(
     *,
     budget: Budget = DEFAULT_BUDGET,
 ) -> set[Word]:
-    """All accepted terminal words of length at most ``max_len``."""
-    return _enumerate(sys.alphabet.terminals, max_len,
-                      lambda w, memo: decide(sys, w, budget, memo=memo))
+    """All accepted terminal words of length at most ``max_len``.  Words
+    are decided in shortlex order and share one memo set."""
+    if max_len > ENUMERATION_GUARD:
+        raise ValueError(f"max_len {max_len} exceeds enumeration guard {ENUMERATION_GUARD}")
+    letters = sorted(sys.alphabet.terminals)
+    memo: set = set()
+    out: set[Word] = set()
+    for n in range(max_len + 1):
+        for combo in itertools.product(letters, repeat=n):
+            d = decide(sys, combo, budget, memo=memo)
+            if d.status is Status.BUDGET_EXCEEDED:
+                raise BudgetExceededError(f"budget exceeded while deciding {combo}")
+            if d.accepted:
+                out.add(combo)
+    return out

@@ -122,6 +122,15 @@ def random_history(rng, min_events=0):
             return history.from_moves(sys, w, moves)
 
 
+def swappable(h, i):
+    """Does ``swap_adjacent`` let events ``i`` and ``i + 1`` trade places?"""
+    try:
+        history.swap_adjacent(h, i)
+    except ValueError:
+        return False
+    return True
+
+
 def overlaps(lines):
     """Direct edges of the dependency order, as successor lists: an earlier
     event blocks a later one when their line interiors overlap horizontally."""
@@ -159,7 +168,7 @@ def test_criterion_6_history_calculus_invariants():
                 if len(g.events) < 2:
                     break
                 i = rng.randrange(len(g.events) - 1)
-                if history.swappable(g, i):
+                if swappable(g, i):
                     g = history.swap_adjacent(g, i)
             assert history.canonicalize(g) == canon
             geo_g = history.geometry(g)

@@ -21,6 +21,16 @@ def make(productions, terminals="a b", nonterminals="S T", start="S",
     )
 
 
+def language_by_member(g, max_len):
+    """Language up to ``max_len`` by the backward-search membership test,
+    sharing one memo set across all queried words: the oracle that
+    ``generate_language`` is checked against."""
+    letters = sorted(g.terminals)
+    memo = set()
+    return {w for n in range(max_len + 1) for w in itertools.product(letters, repeat=n)
+            if grammar.member(g, w, memo=memo).accepted}
+
+
 class TestValidate:
     def test_anbn_ok(self, anbn_grammar):
         # rebuilding runs the constructor's check again
@@ -55,21 +65,25 @@ class TestValidate:
 
 class TestDerive:
     def test_from_start(self):
+        # T has no production, so only S -> a b ends in a terminal word
         g = make([Production(word("S"), word("a b")), Production(word("S"), word("a T b"))])
-        assert grammar.derive_successors(g, word("S")) == [word("a T b"), word("a b")]
+        assert grammar.generate_language(g, 4) == {word("a b")}
 
     def test_interior(self):
-        g = make([Production(word("T"), word("a T b"))])
-        assert grammar.derive_successors(g, word("a T b")) == [word("a a T b b")]
+        # T -> a T b rewrites the T inside a T b
+        g = make([Production(word("S"), word("a T b")), Production(word("T"), word("a T b")),
+                  Production(word("T"), word("a b"))])
+        assert grammar.generate_language(g, 6) == {word("a a b b"), word("a a a b b b")}
 
     def test_anchor_blocks_interior_match(self):
+        # X -> a b @left fires on X a b but not on a X b
         g = make(
-            [Production(word("X"), word("a b"), Anchor.LEFT)],
+            [Production(word("S"), word("X a b")), Production(word("S"), word("a X b")),
+             Production(word("X"), word("a b"), Anchor.LEFT)],
             nonterminals="S X",
             flavor=Flavor.EXTENDED,
         )
-        assert grammar.derive_successors(g, word("X a b")) == [word("a b a b")]
-        assert grammar.derive_successors(g, word("a X b")) == []
+        assert grammar.generate_language(g, 4) == {word("a b a b")}
 
 
 class TestGenerate:
@@ -124,7 +138,7 @@ class TestMember:
                 assert grammar.member(g, w, memo=memo).accepted == (w in lang), w
 
     def test_language_by_member_matches_generate(self, anbn_grammar):
-        assert grammar.language_by_member(anbn_grammar, 6) == grammar.generate_language(
+        assert language_by_member(anbn_grammar, 6) == grammar.generate_language(
             anbn_grammar, 6
         )
 

@@ -10,7 +10,7 @@ from gcsl.core import Alphabet, Anchor, word
 from gcsl.nca import Move, NcaSystem, Rule
 
 from conftest import load
-from test_acceptance import dependency_closure, random_history
+from test_acceptance import dependency_closure, random_history, swappable
 from test_nca import small_systems
 
 
@@ -19,6 +19,16 @@ def make(rules, terminals="a b", working=None):
         Alphabet(frozenset(terminals.split()), frozenset((working or terminals).split())),
         tuple(rules),
     )
+
+
+def walk(system, w, choose):
+    """A random legal walk from ``w`` to a word with no moves: the moves,
+    each picked by ``choose`` from the legal ones, and the word it ends at."""
+    moves = []
+    while options := nca.legal_moves(system, w):
+        moves.append(choose(options))
+        w = nca.apply_move(system, w, moves[-1])
+    return moves, w
 
 
 def reissue(h, order):
@@ -142,23 +152,22 @@ class TestPrecedence:
     def test_disjoint_events_incomparable(self):
         sys = make([Rule(word("a b"), ())])
         h = history.from_moves(sys, word("a b a b"), [(0, 0), (0, 0)])
-        p = history.precedence(h)
-        assert not p.comparable(0, 1)
-        assert p.left_of(0, 1) == 0
+        before = history.precedence(h)
+        assert not (before[0][1] or before[1][0])
 
     def test_consumption_chain(self):
         sys = make([Rule(word("a b"), word("T")), Rule(word("T b"), word("c"))],
                    working="a b c T")
         h = history.from_moves(sys, word("a b b"), [(0, 0), (1, 0)])
-        p = history.precedence(h)
-        assert p.before[0][1] and not p.before[1][0]
+        before = history.precedence(h)
+        assert before[0][1] and not before[1][0]
 
     def test_chain_of_three_totally_ordered(self, pair_system):
         h = history.from_moves(
             pair_system, word("a a a b b b"), [(0, 2), (1, 1), (1, 0)]
         )
-        p = history.precedence(h)
-        assert all(p.before[i][j] for i in range(3) for j in range(3) if i < j)
+        before = history.precedence(h)
+        assert all(before[i][j] for i in range(3) for j in range(3) if i < j)
 
 
 class TestSwap:
@@ -199,12 +208,12 @@ class TestAnchoredSwap:
         h = history.from_moves(RIGHT, word("a b"), [(1, 1), (0, 0)])
         with pytest.raises(ValueError, match="anchor"):
             history.swap_adjacent(h, 0)
-        assert not history.swappable(h, 0)
+        assert not swappable(h, 0)
 
     def test_left_anchor_checked_at_the_new_time(self):
         sys = make([Rule(word("a"), (), Anchor.LEFT), Rule(word("b"), ())])
         h = history.from_moves(sys, word("b a"), [(1, 0), (0, 0)])
-        assert not history.swappable(h, 0)
+        assert not swappable(h, 0)
 
     def test_swap_that_keeps_anchors_allowed(self):
         h = history.from_moves(RIGHT, word("b a"), [(1, 0), (0, 0)])
@@ -255,8 +264,9 @@ class TestCanonicalize:
         for _ in range(30):
             u = [rng.choice("aAbB") for _ in range(rng.randint(1, 12))]
             w = tuple(u) + tuple(s.swapcase() for s in reversed(u))
-            d = nca.decide(fg2, w, shuffle=rng.shuffle)
-            h = history.from_moves(fg2, w, d.witness)
+            moves, end = walk(fg2, w, rng.choice)
+            assert end == ()
+            h = history.from_moves(fg2, w, moves)
             assert history.canonicalize(h) == closure_reference(h)
 
     def test_random_scrambles_agree(self, pair_system):
@@ -271,7 +281,7 @@ class TestCanonicalize:
             g = h
             for _ in range(rng.randrange(12)):
                 i = rng.randrange(len(g.events) - 1)
-                if history.swappable(g, i):
+                if swappable(g, i):
                     g = history.swap_adjacent(g, i)
             assert history.canonicalize(g) == want
 
@@ -354,25 +364,21 @@ INVERSE = {FG2: str.swapcase, S3: {"e": "e", "t": "t", "s": "s", "u": "u", "r": 
 
 @st.composite
 def histories(draw):
-    """Random walks of splitting and erasing moves, and `decide` witnesses
-    of accepted `fg2` and `s3` words."""
+    """Random legal walks to a word with no moves: of splitting and erasing
+    moves, and on accepted `fg2` and `s3` words, where every walk ends at
+    the empty word."""
     system = draw(st.sampled_from([SPLIT_ERASE, SPLIT_ERASE, FG2, S3]))  # half split-erase
-    letters = sorted(system.alphabet.working)
     if system is SPLIT_ERASE:
         # words made of left-hand sides, so that the splitting rules fire
         chunks = st.sampled_from([word("a b c"), word("e a b"), word("d e"), ("c",), ("e",)])
         w = sum(draw(st.lists(chunks, min_size=2, max_size=6)), ())
-        moves, current = [], w
-        while options := nca.legal_moves(system, current):
-            m = draw(st.sampled_from(options))
-            moves.append(m)
-            current = nca.apply_move(system, current, m)
-        return history.from_moves(system, w, moves)
-    u = draw(st.lists(st.sampled_from(letters), min_size=1, max_size=10))
-    w = tuple(u) + tuple(map(INVERSE[system], reversed(u)))
-    d = nca.decide(system, w, shuffle=random.Random(draw(st.integers(0, 2**32))).shuffle)
-    assert d.accepted
-    return history.from_moves(system, w, d.witness)
+    else:
+        u = draw(st.lists(st.sampled_from(sorted(system.alphabet.working)), min_size=1,
+                          max_size=10))
+        w = tuple(u) + tuple(map(INVERSE[system], reversed(u)))
+    moves, end = walk(system, w, lambda options: draw(st.sampled_from(options)))
+    assert end == () or system is SPLIT_ERASE
+    return history.from_moves(system, w, moves)
 
 
 class TestRankedOrder:
@@ -414,11 +420,7 @@ def anchored_histories(draw):
     # words made of left-hand sides and loose letters, so that rules fire
     chunks = st.sampled_from([r.lhs for r in system.rules] + [(x,) for x in "abc"])
     w = sum(draw(st.lists(chunks, min_size=2, max_size=8)), ())
-    moves, current = [], w
-    while options := nca.legal_moves(system, current):
-        m = draw(st.sampled_from(options))
-        moves.append(m)
-        current = nca.apply_move(system, current, m)
+    moves, _ = walk(system, w, lambda options: draw(st.sampled_from(options)))
     return history.from_moves(system, w, moves)
 
 
@@ -433,7 +435,7 @@ class TestAnchoredHistories:
         assert history.canonicalize(c) == c
         g = h
         for i in data.draw(st.lists(st.integers(0, max(0, len(h) - 2)), max_size=12)):
-            if len(g) > 1 and history.swappable(g, i):
+            if len(g) > 1 and swappable(g, i):
                 g = history.swap_adjacent(g, i)
                 history.from_moves(g.system, g.start, history.moves_of(g))  # raises unless legal
                 assert history.canonicalize(g) == c
@@ -460,7 +462,7 @@ class TestAgainstReferenceOrders:
     @settings(max_examples=150, deadline=None)
     @given(reference_histories)
     def test_precedence_matches_pairwise_reference(self, h):
-        assert history.precedence(h).before == precedence_reference(h)
+        assert history.precedence(h) == precedence_reference(h)
 
     @settings(max_examples=300, deadline=None)
     @given(reference_histories, st.data())

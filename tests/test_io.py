@@ -179,6 +179,14 @@ class TestCli:
     def test_missing_file(self, capsys):
         assert cli.main(["validate", "/nonexistent.nca"]) == 2
 
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "utf16.nca"
+        p.write_bytes(b"\xff\xfekind: nca\n")
+        assert cli.main(["validate", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"{p}: ")
+        assert "internal error" not in captured.err
+
     def test_usage_error(self, capsys):
         assert cli.main(["convert", "--to", "bogus", fx("fg2.nca")]) == 2
 
@@ -205,20 +213,21 @@ class TestCli:
         assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b b", "--max-nodes", "1"]) == 3
         assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b b", "--max-nodes", "10"]) == 0
 
-    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x", "\u00b2"])
     def test_max_nodes_below_one_is_usage_error(self, value, capsys):
         assert cli.main(["decide", fx("fg2.nca"), "a A", "--max-nodes", value]) == 2
-        assert "--max-nodes" in capsys.readouterr().err
+        assert "--max-nodes: expected an integer of at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", fx("anbn.gcsg")],
         ["equiv", fx("fg2.nca"), fx("fg1.nca")],
     ])
-    @pytest.mark.parametrize("value", ["-3", "-1"])
+    @pytest.mark.parametrize("value", ["-3", "-1", "\u00b2"])
     def test_max_len_below_zero_is_usage_error(self, argv, value, capsys):
         assert cli.main([*argv, "--max-len", value]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "--max-len" in captured.err
+        assert captured.out == ""
+        assert "--max-len: expected an integer of at least 0" in captured.err
 
     def test_max_len_zero(self, capsys):
         assert cli.main(["enumerate", fx("anbn.gcsg"), "--max-len", "0"]) == 0
@@ -230,6 +239,12 @@ class TestCli:
         out = tmp_path / "trace.txt"
         assert cli.main(["decide", fx("fg2.nca"), "a A", "--trace", str(out)]) == 0
         assert out.read_text() == "0 | a A | rule#0 @0\n1 | _ |\n"
+
+    def test_decide_trace_to_missing_directory_prints_no_verdict(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "trace.txt"
+        assert cli.main(["decide", fx("fg2.nca"), "a A", "--trace", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(out) in captured.err
 
     def test_decide_trace_on_grammar_is_usage_error(self, tmp_path, capsys):
         g = tmp_path / "ab.gcsg"

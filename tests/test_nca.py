@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcsl import cli, nca, transforms
-from gcsl.core import Alphabet, Anchor, ValidationError, occurrences, splice, word
+from gcsl.core import Alphabet, Anchor, ValidationError, splice, word
 from gcsl.nca import Budget, Move, NcaSystem, Rule, Status
 
 from conftest import FIXTURES, load
+from test_core import occurrences
 
 
 def make(rules, terminals="a b", working=None):
@@ -204,24 +205,29 @@ class TestDerivedMoves:
     @given(rules=small_systems, w=small_words, seed=st.integers(0, 2**32))
     def test_search_expands_each_word_with_its_full_scan(self, rules, w, seed, shuffled):
         # the search expands the root, then the child it last spliced, and
-        # hands that word's sorted moves to ``shuffle``
+        # gets that word's moves, scanned or derived, as the full scan
+        # would list them; shuffled rules change the order they are tried in
+        if shuffled:
+            rules = tuple(random.Random(seed).sample(rules, len(rules)))
         index = nca.index_rules(rules)
-        rng = random.Random(seed)
         seen = [w]
+        scan, derive = nca._moves, nca._derive
 
         def spy(*args):
             seen.append(splice(*args))
             return seen[-1]
 
-        def check(order):
-            assert order == nca._moves(index, seen[-1])
-            assert all(type(m) is Move for m in order)
-            if shuffled:
-                rng.shuffle(order)
+        def check(word, moves):
+            assert word == seen[-1]
+            assert moves == scan_moves(rules, word)
+            return moves
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nca, "splice", spy)
-            d = nca._search(index, w, Budget(max_nodes=300), set(), check)
+            mp.setattr(nca, "_moves", lambda index, word: check(word, scan(index, word)))
+            mp.setattr(nca, "_derive", lambda index, moves, child, *rest:
+                       check(child, derive(index, moves, child, *rest)))
+            d = nca._search(index, w, Budget(max_nodes=300), set())
         if d.accepted:
             for i, p in d.witness:
                 r = rules[i]
@@ -249,7 +255,7 @@ class TestDecide:
     def test_nonterminal_input_rejected(self, anbn_nca):
         with pytest.raises(ValueError):
             nca.decide(anbn_nca, word("a T b"))
-        assert nca.decide_over_working(anbn_nca, word("a T b")).accepted
+        assert nca._search(anbn_nca._index, word("a T b"), Budget(), None).accepted
 
     def test_budget_exceeded_is_distinct(self, fg2):
         d = nca.decide(fg2, word("a A a A a A"), Budget(max_nodes=2))
@@ -324,7 +330,6 @@ def test_memoized_decide_agrees_with_brute_force(fixture):
 @given(st.lists(st.sampled_from("ab"), max_size=8).map(tuple), st.integers(0, 2**32))
 def test_acceptance_independent_of_move_order(w, seed):
     sys = load("anbn.nca")
-    rng = random.Random(seed)
-    plain = nca.decide(sys, w)
-    shuffled = nca.decide(sys, w, shuffle=rng.shuffle)
-    assert plain.accepted == shuffled.accepted
+    rules = random.Random(seed).sample(sys.rules, len(sys.rules))
+    shuffled = NcaSystem(sys.alphabet, tuple(rules))
+    assert nca.decide(sys, w).accepted == nca.decide(shuffled, w).accepted
