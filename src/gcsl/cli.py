@@ -37,7 +37,7 @@ EXIT_INTERNAL = 4
 
 def _load(path: str):
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return parse_system(f.read())
     except (UnicodeDecodeError, ParseError, ValidationError) as e:
         raise _CliError(f"{path}: {e}")

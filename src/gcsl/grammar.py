@@ -151,13 +151,14 @@ def member(g: Grammar, w: Word, budget: Budget = nca.DEFAULT_BUDGET,
     """Is ``w`` in the language of ``g``?  The empty word is a member
     exactly when ``S -> _`` is a production, and any other word exactly
     when the grammar's reversed rules (``Grammar._backward``) reduce it to
-    the empty word.  That search is :func:`gcsl.nca.decide` on
-    :func:`gcsl.transforms.gcsg_to_nca`, whose rules the witness indexes."""
+    the empty word.  That is :func:`gcsl.nca.decide`, deterministic pass
+    then search, on :func:`gcsl.transforms.gcsg_to_nca`, whose rules the
+    witness indexes."""
     bad = [s for s in w if s not in g.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
     if w == ():
         eps = Production((g.start,), ()) in g.productions
         return Decision(Status.ACCEPTED, ()) if eps else Decision(Status.REJECTED)
-    return nca._search(g._backward, w, budget, memo)
+    return nca._decide(g._backward, w, budget, memo)
 

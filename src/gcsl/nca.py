@@ -4,7 +4,9 @@ optionally anchored rewriting systems, and the exhaustive decision engine.
 A system accepts a terminal word iff some sequence of rule applications
 reduces it to the empty word.  Every rule strictly shortens the word, so
 depth-first search with a memo set of dead words is exhaustive and
-terminates.
+terminates.  :func:`decide` first makes one deterministic left-to-right
+pass, Goodman and Shapiro's Cannon's algorithm, which accepts many words
+in linear time; the search decides whatever the pass leaves.
 """
 
 from __future__ import annotations
@@ -57,12 +59,15 @@ class RuleIndex(NamedTuple):
     such left-hand side to the indices of the unanchored rules that have
     it; ``anchored`` does the same for the anchored rules, pairing each
     index with its anchor.  ``free_len`` holds each rule's left-hand-side
-    length if it is unanchored and 0 if not."""
+    length if it is unanchored and 0 if not.  ``by_len`` pairs each
+    left-hand-side length, longest first, with its anchored and its
+    unanchored table (empty if it has none), for :func:`_greedy`."""
 
     rules: tuple[Rule, ...]
     free: tuple[tuple[int, dict[Word, tuple[int, ...]]], ...]
     anchored: tuple[tuple[int, dict[Word, tuple[tuple[int, Anchor], ...]]], ...]
     free_len: tuple[int, ...]
+    by_len: tuple[tuple[int, dict, dict], ...]
 
 
 def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
@@ -77,8 +82,10 @@ def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
             table = anchored.setdefault(len(r.lhs), {})
             table[r.lhs] = table.get(r.lhs, ()) + ((i, r.anchor),)
     free_len = tuple(len(r.lhs) if r.anchor is Anchor.NONE else 0 for r in rules)
+    by_len = tuple((k, anchored.get(k, {}), free.get(k, {}))
+                   for k in sorted(free.keys() | anchored.keys(), reverse=True))
     return RuleIndex(rules, tuple(sorted(free.items())), tuple(sorted(anchored.items())),
-                     free_len)
+                     free_len, by_len)
 
 
 @dataclass(frozen=True)
@@ -270,6 +277,67 @@ def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> D
             path.pop()
 
 
+def _greedy(index: RuleIndex, w: Word, limit: int) -> tuple[list[tuple[int, int]], Word]:
+    """One deterministic left-to-right pass over ``w``, Cannon's algorithm
+    made from the rules: letters move from the unread input onto a stack,
+    and after each push, and after each erase, the longest left-hand side
+    that is a suffix of the stack is rewritten, an anchored rule before an
+    unanchored one of the same length, the lowest index first.  Anchors
+    are checked against the whole word, the stack then the unread letters.
+    A rewrite's letters go back onto the unread input.  Every rewrite is a
+    legal move, so the pass returns its moves, at most ``limit`` of them,
+    and the word it stopped at: when that is the empty word, the moves are
+    a witness."""
+    rules = index.rules
+    by_len = index.by_len
+    stack: list = []
+    unread = list(reversed(w))
+    moves: list = []
+    while unread:
+        stack.append(unread.pop())
+        while True:  # rewrite at the top of the stack until nothing matches
+            top = len(stack)
+            hit = None
+            for k, anchored, free in by_len:
+                if k > top:
+                    continue
+                pos = top - k
+                lhs = tuple(stack[pos:])
+                for i, anchor in anchored.get(lhs, ()):
+                    if anchor_ok(anchor, pos, k, top + len(unread)):
+                        hit = i
+                        break
+                else:
+                    hits = free.get(lhs)
+                    if hits:
+                        hit = hits[0]
+                if hit is not None:
+                    break
+            if hit is None:
+                break
+            if len(moves) == limit:
+                return moves, tuple(stack) + tuple(reversed(unread))
+            moves.append((hit, pos))
+            del stack[pos:]
+            rhs = rules[hit].rhs
+            if rhs:
+                unread.extend(reversed(rhs))
+                break
+    return moves, tuple(stack)
+
+
+def _decide(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> Decision:
+    """Does ``w`` reduce to the empty word?  A word in ``memo`` does not;
+    otherwise :func:`_greedy` tries first, and :func:`_search` decides
+    what it leaves, with the nodes the pass's rewrites left of the budget."""
+    if memo is not None and w in memo:
+        return Decision(Status.REJECTED)
+    moves, rest = _greedy(index, w, budget.max_nodes)
+    if not rest:
+        return Decision(Status.ACCEPTED, tuple(map(Move._make, moves)))
+    return _search(index, w, Budget(budget.max_nodes - len(moves), budget.max_memo), memo)
+
+
 def decide(
     sys: NcaSystem,
     w: Word,
@@ -279,11 +347,13 @@ def decide(
 ) -> Decision:
     """Does ``w`` reduce to the empty word?  ``w`` must be a terminal word.
     ``memo``, if given, collects words that do not reduce and may be shared
-    across calls on the same system."""
+    across calls on the same system.  A word the deterministic pass
+    (:func:`_greedy`) reduces is accepted with that pass's moves as its
+    witness, and fills no memo; the search decides the others."""
     bad = [s for s in w if s not in sys.alphabet.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
-    return _search(sys._index, w, budget, memo)
+    return _decide(sys._index, w, budget, memo)
 
 
 def enumerate_language(
@@ -293,7 +363,8 @@ def enumerate_language(
     budget: Budget = DEFAULT_BUDGET,
 ) -> set[Word]:
     """All accepted terminal words of length at most ``max_len``.  Words
-    are decided in shortlex order and share one memo set."""
+    are decided in shortlex order by the search alone, sharing one memo
+    set, which already answers most of them."""
     if max_len > ENUMERATION_GUARD:
         raise ValueError(f"max_len {max_len} exceeds enumeration guard {ENUMERATION_GUARD}")
     letters = sorted(sys.alphabet.terminals)
@@ -301,7 +372,7 @@ def enumerate_language(
     out: set[Word] = set()
     for n in range(max_len + 1):
         for combo in itertools.product(letters, repeat=n):
-            d = decide(sys, combo, budget, memo=memo)
+            d = _search(sys._index, combo, budget, memo)
             if d.status is Status.BUDGET_EXCEEDED:
                 raise BudgetExceededError(f"budget exceeded while deciding {combo}")
             if d.accepted:

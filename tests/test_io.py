@@ -187,6 +187,12 @@ class TestCli:
         assert captured.out == "" and captured.err.startswith(f"{p}: ")
         assert "internal error" not in captured.err
 
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        p = tmp_path / "bom.nca"
+        p.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "fg2.nca").read_bytes())
+        assert cli.main(["validate", str(p)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
     def test_usage_error(self, capsys):
         assert cli.main(["convert", "--to", "bogus", fx("fg2.nca")]) == 2
 

@@ -3,9 +3,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gcsl import cli, nca, transforms
+from gcsl import cli, grammar, nca, transforms
 from gcsl.core import Alphabet, Anchor, ValidationError, splice, word
 from gcsl.nca import Budget, Move, NcaSystem, Rule, Status
 
@@ -281,6 +281,100 @@ class TestDecide:
             assert len(w2) < len(w)
             w = w2
         assert w == ()
+
+
+@functools.lru_cache(maxsize=None)
+def deciding(name, to_gcsg):
+    """A fixture's ``decide`` or, for a grammar, ``member``, as a function
+    of a word and a budget; the rule index it searches; a system that
+    replays that index's moves; and the terminals."""
+    system = load(name)
+    if to_gcsg:
+        system = transforms.nca_to_gcsg(system)
+    if isinstance(system, NcaSystem):
+        return (functools.partial(nca.decide, system), system._index, system,
+                sorted(system.alphabet.terminals))
+    replay = NcaSystem(Alphabet(system.terminals, system.alphabet), system._backward.rules)
+    return (functools.partial(grammar.member, system), system._backward, replay,
+            sorted(system.terminals))
+
+
+def replays_to_empty(sys, w, moves):
+    for m in moves:
+        w = nca.apply_move(sys, w, Move._make(m))
+    return w == ()
+
+
+ORACLE_BUDGET = Budget(max_nodes=20_000)
+
+
+def check_against_search(decide, index, sys, w):
+    """``decide`` gives the plain search's verdict, its witness and that
+    of the deterministic pass replay to the empty word, and the pass
+    accepts no word that the search rejects."""
+    expected = nca._search(index, w, ORACLE_BUDGET, None)
+    assume(expected.status is not Status.BUDGET_EXCEEDED)
+    d = decide(w, ORACLE_BUDGET)
+    assert d.status is expected.status
+    if d.accepted:
+        assert replays_to_empty(sys, w, d.witness)
+    moves, rest = nca._greedy(index, w, ORACLE_BUDGET.max_nodes)
+    if not rest:
+        assert expected.accepted and replays_to_empty(sys, w, moves)
+
+
+class TestGreedy:
+    @pytest.mark.parametrize("name, to_gcsg, max_len", [
+        *((p.name, False, 5 if p.name == "s3.nca" else 8) for p in sorted(FIXTURES.iterdir())),
+        pytest.param("s3.nca", True, 5, id="nca_to_gcsg(s3)"),
+        pytest.param("fg2.nca", True, 8, id="nca_to_gcsg(fg2)"),
+    ])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fixtures_agree_with_search(self, name, to_gcsg, max_len, data):
+        decide, index, sys, letters = deciding(name, to_gcsg)
+        w = tuple(data.draw(st.lists(st.sampled_from(letters), min_size=1, max_size=max_len)))
+        check_against_search(decide, index, sys, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems, small_words)
+    def test_random_systems_agree_with_search(self, rules, w):
+        sys = make(rules, terminals="a b c")
+        check_against_search(functools.partial(nca.decide, sys), sys._index, sys, w)
+
+    def test_anchored_rule_first_at_equal_length(self, anbn_nca):
+        # a T b -> _ @both goes before a T b -> T, which would leave T
+        moves, rest = nca._greedy(anbn_nca._index, word("a a b b"), 10)
+        assert rest == () and moves == [(0, 1), (3, 0)]
+
+    def test_long_cancelling_word_in_one_pass(self, fg2):
+        rng = random.Random(20_000)
+        u = [rng.choice("aAbB") for _ in range(10_000)]
+        w = tuple(u) + tuple(s.swapcase() for s in reversed(u))
+        moves, rest = nca._greedy(fg2._index, w, 10**6)
+        assert rest == () and len(moves) == 10_000
+        d = nca.decide(fg2, w)
+        assert d.accepted and d.witness == tuple(map(Move._make, moves))
+
+    def test_pass_stops_at_the_budget(self, fg2):
+        moves, rest = nca._greedy(fg2._index, word("a A a A a A"), 2)
+        assert moves == [(0, 0), (0, 0)] and rest == word("a A")
+
+    def test_failed_pass_leaves_the_search_the_rest_of_the_budget(self, anbn_nca):
+        w = word("a b a b")
+        index = anbn_nca._index
+        moves, rest = nca._greedy(index, w, 100)
+        assert len(moves) == 2 and rest == word("T T")
+        # the fewest nodes with which the search alone rejects w
+        nodes = next(n for n in itertools.count(1)
+                     if nca._search(index, w, Budget(max_nodes=n), None).status is Status.REJECTED)
+        assert nca.decide(anbn_nca, w, Budget(max_nodes=nodes + 2)).status is Status.REJECTED
+        assert nca.decide(anbn_nca, w, Budget(max_nodes=nodes + 1)).status is Status.BUDGET_EXCEEDED
+
+    def test_memo_answers_before_the_pass(self, fg2):
+        # a word in the memo is rejected without a pass, even one that reduces
+        w = word("a A")
+        assert nca.decide(fg2, w, memo={w}).status is Status.REJECTED
 
 
 class TestEnumerate:
