@@ -5,13 +5,13 @@ conversions between them, and the reduction-history calculus."""
 from .core import (
     Alphabet, Anchor, Symbol, ValidationError, Word, splice, word, word_str,
 )
-from .grammar import Flavor, Grammar, Production
+from .grammar import Grammar, Production
 from .nca import Budget, Decision, Move, NcaSystem, Rule, Status
 from .transforms import deanchor, eliminate_terminals, gcsg_to_nca, nca_to_gcsg
 
 __all__ = [
     "Alphabet", "Anchor", "Symbol", "ValidationError", "Word", "splice", "word",
-    "word_str", "Flavor", "Grammar", "Production", "Budget", "Decision",
-    "Move", "NcaSystem", "Rule", "Status", "deanchor", "eliminate_terminals",
+    "word_str", "Grammar", "Production", "Budget", "Decision", "Move",
+    "NcaSystem", "Rule", "Status", "deanchor", "eliminate_terminals",
     "gcsg_to_nca", "nca_to_gcsg",
 ]

@@ -1,6 +1,7 @@
 """Growing context-sensitive grammars, plain and extended (anchored).
 
-A grammar is growing when the start symbol never reappears on a right
+A grammar is extended exactly when one of its productions is anchored.
+It is growing when the start symbol never reappears on a right
 hand side and every production either rewrites the start symbol or
 strictly increases length.  Membership is decided by running the
 reversed productions as a length-reducing rewriting system, a start
@@ -12,19 +13,13 @@ as the independent oracle.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Anchor, Symbol, ValidationError, Word, splice
+from .core import Anchor, Symbol, ValidationError, Word, check_symbol, splice
 from . import nca
 from .nca import ENUMERATION_GUARD, Budget, Decision, Rule, RuleIndex, Status
-
-
-class Flavor(enum.Enum):
-    STANDARD = "standard"
-    EXTENDED = "extended"
 
 
 # a production is a rule read in the generating direction
@@ -40,7 +35,6 @@ class Grammar:
     terminals: frozenset[Symbol]
     start: Symbol
     productions: tuple[Production, ...]
-    flavor: Flavor = Flavor.STANDARD
 
     def __post_init__(self):
         object.__setattr__(self, "productions", tuple(dict.fromkeys(self.productions)))
@@ -78,26 +72,27 @@ def _validate(g: Grammar) -> list[str]:
     Conversions build grammars of hundreds of productions, so the loop over
     them stays tight."""
     v = []
+    alphabet = g.alphabet
+    for name in sorted(alphabet | {g.start}, key=repr):
+        try:
+            check_symbol(name)
+        except ValueError as e:
+            v.append(str(e))
     overlap = g.nonterminals & g.terminals
     if overlap:
         v.append(f"nonterminals and terminals overlap: {sorted(overlap)}")
     if g.start not in g.nonterminals:
         v.append(f"start symbol {g.start} not a nonterminal")
-    alphabet = g.alphabet
     sigma = g.start
     sigma_lhs = (sigma,)
-    standard = g.flavor is Flavor.STANDARD
     for i, p in enumerate(g.productions):
         lhs, rhs = p.lhs, p.rhs
         for s in lhs + rhs:
             if s not in alphabet:
                 v.append(f"production {i}: symbol outside alphabet: {s}")
         start_lhs = lhs == sigma_lhs
-        if p.anchor is not Anchor.NONE:
-            if standard:
-                v.append(f"production {i}: anchored production in a standard grammar")
-            if start_lhs:
-                v.append(f"production {i}: start-symbol production must not be anchored")
+        if p.anchor is not Anchor.NONE and start_lhs:
+            v.append(f"production {i}: start-symbol production must not be anchored")
         if sigma in lhs and not start_lhs:
             v.append(f"production {i}: start symbol inside a longer lhs")
         if sigma in rhs:

@@ -54,18 +54,15 @@ class Move(NamedTuple):
 
 
 class RuleIndex(NamedTuple):
-    """A rule tuple indexed by left-hand side.  ``free`` maps each length
-    ``k`` of an unanchored left-hand side, ascending, to a dict from each
-    such left-hand side to the indices of the unanchored rules that have
-    it; ``anchored`` does the same for the anchored rules, pairing each
-    index with its anchor.  ``free_len`` holds each rule's left-hand-side
-    length if it is unanchored and 0 if not.  ``by_len`` pairs each
-    left-hand-side length, longest first, with its anchored and its
-    unanchored table (empty if it has none), for :func:`_greedy`."""
+    """A rule tuple indexed by left-hand side.  ``by_len`` pairs each
+    left-hand-side length ``k``, longest first, with two tables: one maps
+    each anchored left-hand side of length ``k`` to the indices of the
+    rules that have it, each paired with its anchor, and the other maps
+    each unanchored one to the indices of its rules.  A table is empty
+    when no rule of that kind has length ``k``.  ``free_len`` holds each
+    rule's left-hand-side length if it is unanchored and 0 if not."""
 
     rules: tuple[Rule, ...]
-    free: tuple[tuple[int, dict[Word, tuple[int, ...]]], ...]
-    anchored: tuple[tuple[int, dict[Word, tuple[tuple[int, Anchor], ...]]], ...]
     free_len: tuple[int, ...]
     by_len: tuple[tuple[int, dict, dict], ...]
 
@@ -84,8 +81,7 @@ def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
     free_len = tuple(len(r.lhs) if r.anchor is Anchor.NONE else 0 for r in rules)
     by_len = tuple((k, anchored.get(k, {}), free.get(k, {}))
                    for k in sorted(free.keys() | anchored.keys(), reverse=True))
-    return RuleIndex(rules, tuple(sorted(free.items())), tuple(sorted(anchored.items())),
-                     free_len, by_len)
+    return RuleIndex(rules, free_len, by_len)
 
 
 @dataclass(frozen=True)
@@ -140,12 +136,14 @@ def _validate(sys: NcaSystem) -> list[str]:
     return violations
 
 
-def _scan(free, w: Word, lo: int, hi: int, out: list) -> None:
+def _scan(by_len, w: Word, lo: int, hi: int, out: list) -> None:
     """Append to ``out`` the unanchored moves of ``w`` whose windows meet
     ``w[lo:hi]``, or cross the gap before ``lo`` when ``lo == hi``: one
     dict lookup per window of each left-hand-side length."""
     n = len(w)
-    for k, table in free:
+    for k, _, table in by_len:
+        if not table:
+            continue
         get = table.get
         for pos in range(max(lo - k + 1, 0), min(hi, n - k + 1)):
             hits = get(w[pos:pos + k])
@@ -154,13 +152,13 @@ def _scan(free, w: Word, lo: int, hi: int, out: list) -> None:
                     out.append((i, pos))
 
 
-def _ends(anchored, w: Word, out: list) -> None:
+def _ends(by_len, w: Word, out: list) -> None:
     """Append to ``out`` the anchored moves of ``w``: an anchored window
     starts at 0 or ends at ``len(w)``, so two lookups per length suffice."""
     n = len(w)
-    for k, table in anchored:
-        if k > n:
-            break
+    for k, table, _ in by_len:
+        if k > n or not table:
+            continue
         for pos in (0, n - k) if k < n else (0,):
             for i, anchor in table.get(w[pos:pos + k], ()):
                 if anchor_ok(anchor, pos, k, n):
@@ -173,11 +171,7 @@ def _moves(index: RuleIndex, w: Word) -> list[tuple[int, int]]:
     two per anchored one.  The pairs are plain tuples, as building a
     :class:`Move` costs many times more; :func:`legal_moves` and search
     witnesses wrap them."""
-    moves: list = []
-    _scan(index.free, w, 0, len(w), moves)
-    _ends(index.anchored, w, moves)
-    moves.sort()
-    return moves
+    return _derive(index, (), w, 0, 0, len(w))
 
 
 def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
@@ -202,8 +196,8 @@ def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
                 out.append(m)
             elif q >= right:
                 out.append((i, q + shift))
-    _scan(index.free, child, p, p + rhs_len, out)
-    _ends(index.anchored, child, out)
+    _scan(index.by_len, child, p, p + rhs_len, out)
+    _ends(index.by_len, child, out)
     out.sort()
     return out
 

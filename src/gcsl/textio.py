@@ -4,7 +4,7 @@ diagram rendering and the language-comparison oracle used by ``equiv``.
 Format (``#`` starts a comment, symbols are whitespace-separated,
 ``_`` is the empty word)::
 
-    kind: nca                     kind: gcsg          # or egcsg
+    kind: nca                     kind: gcsg   # egcsg if a production is anchored
     terminals: a b                terminals: a b
     alphabet: a b T               nonterminals: S T
     rules:                        start: S
@@ -22,7 +22,7 @@ from .core import Alphabet, Anchor, ValidationError, Word, check_symbol, word_st
 from . import grammar as grammar_mod
 from . import history as history_mod
 from . import nca as nca_mod
-from .grammar import Flavor, Grammar
+from .grammar import Grammar
 from .nca import NcaSystem, Rule
 
 
@@ -141,13 +141,17 @@ def parse_system(text: str):
     except ValueError as e:
         raise ParseError(str(e), start_line)
     _reject_unknown(headers)
-    productions = tuple(_parse_rule_line(line, no) for line, no in body)
+    productions = []
+    for line, no in body:
+        p = _parse_rule_line(line, no)
+        if p.anchor is not Anchor.NONE and kind == "gcsg":
+            raise ParseError("anchored production in a kind gcsg file (use kind egcsg)", no)
+        productions.append(p)
     return Grammar(
         nonterminals=frozenset(nonterminals),
         terminals=frozenset(terminals),
         start=start,
-        productions=productions,
-        flavor=Flavor.EXTENDED if kind == "egcsg" else Flavor.STANDARD,
+        productions=tuple(productions),
     )
 
 
@@ -161,8 +165,10 @@ def _rule_line(lhs, rhs, anchor) -> str:
 
 
 def serialize_system(sys) -> str:
-    """Canonical text: sorted symbol sections, sorted rule lines.
-    Reparsing yields an equal system up to rule order."""
+    """Canonical text: sorted symbol sections, sorted rule lines.  A
+    grammar's kind is ``egcsg`` exactly when one of its productions is
+    anchored, and ``gcsg`` otherwise.  Reparsing yields an equal system up
+    to rule order."""
     lines = []
     if isinstance(sys, NcaSystem):
         lines.append("kind: nca")
@@ -171,7 +177,8 @@ def serialize_system(sys) -> str:
         lines.append("rules:")
         lines.extend(sorted(_rule_line(r.lhs, r.rhs, r.anchor) for r in sys.rules))
     elif isinstance(sys, Grammar):
-        lines.append("kind: " + ("egcsg" if sys.flavor is Flavor.EXTENDED else "gcsg"))
+        anchored = any(p.anchor is not Anchor.NONE for p in sys.productions)
+        lines.append("kind: " + ("egcsg" if anchored else "gcsg"))
         lines.append("terminals: " + word_str(tuple(sorted(sys.terminals))))
         lines.append("nonterminals: " + word_str(tuple(sorted(sys.nonterminals))))
         lines.append("start: " + sys.start)

@@ -6,8 +6,8 @@ Four language-preserving constructions:
   occurs in any production lhs, by doubling terminals with tilde twins.
 * :func:`deanchor` — compile anchored productions away using three caret
   families of end-marker nonterminals.
-* :func:`gcsg_to_nca` — reverse a standard growing grammar into a
-  length-reducing system with both-anchored erasing rules.
+* :func:`gcsg_to_nca` — reverse a growing grammar, anchored or not, into
+  a length-reducing system with both-anchored erasing rules.
 * :func:`nca_to_gcsg` — reverse a rewriting system into an (extended,
   then standard) growing grammar.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .core import Alphabet, Anchor, Symbol, Word
-from .grammar import Flavor, Grammar, Production
+from .grammar import Grammar, Production
 from .nca import NcaSystem
 
 TILDE = "~"
@@ -66,7 +66,6 @@ def eliminate_terminals(g: Grammar) -> Grammar:
         terminals=terminals,
         start=g.start,
         productions=tuple(productions),
-        flavor=g.flavor,
     )
 
 
@@ -123,17 +122,15 @@ def deanchor(g: Grammar) -> Grammar:
         terminals=g.terminals,
         start=sigma,
         productions=tuple(productions),
-        flavor=Flavor.STANDARD,
     )
 
 
 def gcsg_to_nca(g: Grammar) -> NcaSystem:
-    """Reverse a standard growing grammar (with the empty word in its
-    language) into an equivalent length-reducing system: start productions
-    become both-anchored erasing rules, listed first, and everything else
-    runs backwards.  :func:`gcsl.grammar.member` searches these rules."""
-    if g.flavor is not Flavor.STANDARD:
-        raise ValueError("gcsg_to_nca requires a standard (anchor-free) grammar")
+    """Reverse a growing grammar (with the empty word in its language)
+    into an equivalent length-reducing system: start productions become
+    both-anchored erasing rules, listed first, and everything else runs
+    backwards, an anchored production as a rule with the same anchor.
+    :func:`gcsl.grammar.member` searches these rules."""
     if Production((g.start,), ()) not in g.productions:
         raise ValueError("grammar must contain the start -> empty word production")
     working = g.terminals | (g.nonterminals - {g.start})
@@ -184,7 +181,6 @@ def nca_to_extended_gcsg(sys: NcaSystem) -> Grammar:
         terminals=terminals,
         start=sigma,
         productions=tuple(productions),
-        flavor=Flavor.EXTENDED,
     )
 
 

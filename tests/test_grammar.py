@@ -4,20 +4,18 @@ import itertools
 import pytest
 
 from gcsl import grammar, nca, textio, transforms
-from gcsl.core import Anchor, ValidationError, word
-from gcsl.grammar import Flavor, Grammar, Production
+from gcsl.core import Anchor, ValidationError, check_symbol, word
+from gcsl.grammar import Grammar, Production
 
 from conftest import load
 
 
-def make(productions, terminals="a b", nonterminals="S T", start="S",
-         flavor=Flavor.STANDARD):
+def make(productions, terminals="a b", nonterminals="S T", start="S"):
     return Grammar(
         nonterminals=frozenset(nonterminals.split()),
         terminals=frozenset(terminals.split()),
         start=start,
         productions=tuple(productions),
-        flavor=flavor,
     )
 
 
@@ -46,21 +44,36 @@ class TestValidate:
 
     def test_epsilon_production_needs_start_out_of_rhs(self):
         with pytest.raises(ValidationError, match="start symbol in rhs"):
-            make(
-                [Production(word("S"), ()), Production(word("T"), word("a S"))],
-                flavor=Flavor.STANDARD,
-            )
-
-    def test_anchor_only_in_extended(self):
-        p = Production(word("T"), word("a b"), Anchor.LEFT)
-        with pytest.raises(ValidationError, match="anchored production"):
-            make([p])
-        assert make([p], flavor=Flavor.EXTENDED).productions == (p,)
+            make([Production(word("S"), ()), Production(word("T"), word("a S"))])
 
     def test_start_production_never_anchored(self):
         p = Production(word("S"), word("a b"), Anchor.LEFT)
         with pytest.raises(ValidationError, match="must not be anchored"):
-            make([p], flavor=Flavor.EXTENDED)
+            make([p])
+
+    @pytest.mark.parametrize("name", ["_", "a b", ""], ids=["underscore", "space", "empty"])
+    @pytest.mark.parametrize("role", ["terminal", "nonterminal", "start"])
+    def test_symbol_names_checked_as_in_alphabet(self, name, role):
+        # "_" would serialise as the empty word, and "a b" as two symbols
+        terminals = {"a", name} if role == "terminal" else {"a"}
+        nonterminals = {"S", name} if role == "nonterminal" else {"S"}
+        start = name if role == "start" else "S"
+        with pytest.raises(ValueError) as refused:
+            check_symbol(name)
+        with pytest.raises(ValidationError) as e:
+            Grammar(frozenset(nonterminals), frozenset(terminals), start,
+                    (Production((start,), ("a",)),))
+        assert str(refused.value) in e.value.violations
+
+    def test_every_bad_symbol_name_is_listed(self):
+        with pytest.raises(ValidationError) as e:
+            Grammar(frozenset({"S", ""}), frozenset({"a", "_", "a b"}), "S",
+                    (Production(word("S"), word("a")),))
+        assert e.value.violations == [
+            "symbol name must be a non-empty string: ''",
+            "'_' is reserved for the empty word",
+            "symbol name contains whitespace: 'a b'",
+        ]
 
 
 class TestDerive:
@@ -81,7 +94,6 @@ class TestDerive:
             [Production(word("S"), word("X a b")), Production(word("S"), word("a X b")),
              Production(word("X"), word("a b"), Anchor.LEFT)],
             nonterminals="S X",
-            flavor=Flavor.EXTENDED,
         )
         assert grammar.generate_language(g, 4) == {word("a b a b")}
 
@@ -155,11 +167,16 @@ class TestMember:
                         w = nca.apply_move(sys, w, m)
                     assert w == ()
 
-    @pytest.mark.parametrize("source", ["anbn.gcsg", "dyck.gcsg", "nca_to_gcsg(fg2)"])
+    @pytest.mark.parametrize("source", ["anbn.gcsg", "dyck.gcsg", "nca_to_gcsg(fg2)",
+                                        "left_anchor.egcsg + S -> _"])
     def test_member_is_decide_on_gcsg_to_nca(self, source):
         # the same decision, witness and memo on every word of up to six letters
         if source.endswith(".gcsg"):
             g = load(source)
+        elif source.startswith("left_anchor"):
+            # anchored productions run backwards as anchored rules
+            g = load("left_anchor.egcsg")
+            g = dataclasses.replace(g, productions=g.productions + (Production(word("S"), ()),))
         else:
             converted = transforms.nca_to_gcsg(load("fg2.nca"))
             g = textio.parse_system(textio.serialize_system(converted))

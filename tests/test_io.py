@@ -3,7 +3,7 @@ import pytest
 import gcsl
 from gcsl import cli, history, nca, textio
 from gcsl.core import Alphabet, Anchor, word
-from gcsl.grammar import Flavor, Grammar, Production
+from gcsl.grammar import Grammar, Production
 from gcsl.nca import NcaSystem, Rule
 
 from conftest import FIXTURES, load
@@ -22,12 +22,20 @@ class TestParse:
     def test_grammar_fixture(self, anbn_grammar):
         assert isinstance(anbn_grammar, Grammar)
         assert anbn_grammar.start == "S"
-        assert anbn_grammar.flavor is Flavor.STANDARD
+        assert all(p.anchor is Anchor.NONE for p in anbn_grammar.productions)
 
     def test_extended_kind_and_anchor(self):
         g = load("left_anchor.egcsg")
-        assert g.flavor is Flavor.EXTENDED
         assert any(p.anchor is Anchor.LEFT for p in g.productions)
+
+    def test_anchored_production_needs_kind_egcsg(self):
+        text = ("kind: gcsg\nterminals: a b\nnonterminals: S T\nstart: S\n"
+                "productions:\nS -> T b\nT -> a b @left\n")
+        with pytest.raises(textio.ParseError, match="anchored production") as e:
+            textio.parse_system(text)
+        assert e.value.line == 7
+        g = textio.parse_system(text.replace("kind: gcsg", "kind: egcsg"))
+        assert Production(word("T"), word("a b"), Anchor.LEFT) in g.productions
 
     def test_comments_and_blank_lines(self):
         sys = textio.parse_system(
@@ -124,9 +132,17 @@ class TestSerialize:
             assert again.alphabet == sys.alphabet
         else:
             assert set(again.productions) == set(sys.productions)
-            assert (again.nonterminals, again.terminals, again.start, again.flavor) == (
-                sys.nonterminals, sys.terminals, sys.start, sys.flavor
+            assert (again.nonterminals, again.terminals, again.start) == (
+                sys.nonterminals, sys.terminals, sys.start
             )
+
+    @pytest.mark.parametrize("anchor, kind", [(Anchor.NONE, "gcsg"), (Anchor.LEFT, "egcsg")])
+    def test_kind_follows_the_anchors(self, anchor, kind):
+        g = Grammar(frozenset("ST"), frozenset("ab"), "S",
+                    (Production(word("S"), word("T b")), Production(word("T"), word("a b"), anchor)))
+        text = textio.serialize_system(g)
+        assert text.splitlines()[0] == f"kind: {kind}"
+        assert set(textio.parse_system(text).productions) == set(g.productions)
 
     def test_canonical_is_stable(self, fg2):
         shuffled = NcaSystem(fg2.alphabet, tuple(reversed(fg2.rules)))
@@ -307,7 +323,17 @@ class TestCli:
         assert cli.main(["convert", "--to", "nca", fx("fg2.nca")]) == 2
         assert "expects a grammar" in capsys.readouterr().err
 
+    def test_convert_anchored_grammar_to_nca(self, tmp_path, capsys):
+        g = tmp_path / "left_anchor_eps.egcsg"
+        g.write_text((FIXTURES / "left_anchor.egcsg").read_text() + "S -> _\n")
+        out = tmp_path / "left_anchor.nca"
+        assert cli.main(["convert", "--to", "nca", str(g), "-o", str(out)]) == 0
+        assert cli.main(["decide", str(out), "a a b"]) == 0
+        assert cli.main(["decide", str(out), "a a a b"]) == 1
+        assert capsys.readouterr().out == "accepted\nrejected\n"
+
     def test_convert_stdout_reparses(self, capsys):
         assert cli.main(["convert", "--to", "gcsg", fx("xanchor.nca")]) == 0
-        g = textio.parse_system(capsys.readouterr().out)
-        assert isinstance(g, Grammar) and g.flavor is Flavor.STANDARD
+        text = capsys.readouterr().out
+        g = textio.parse_system(text)
+        assert isinstance(g, Grammar) and text.startswith("kind: gcsg\n")

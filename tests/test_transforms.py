@@ -2,20 +2,18 @@ import pytest
 
 from gcsl import grammar, nca, transforms
 from gcsl.core import Alphabet, Anchor, word
-from gcsl.grammar import Flavor, Grammar, Production
+from gcsl.grammar import Grammar, Production
 from gcsl.nca import NcaSystem, Rule
 
 from conftest import load
 
 
-def grammar_of(productions, terminals="a b", nonterminals="S T", start="S",
-               flavor=Flavor.STANDARD):
+def grammar_of(productions, terminals="a b", nonterminals="S T", start="S"):
     return Grammar(
         nonterminals=frozenset(nonterminals.split()),
         terminals=frozenset(terminals.split()),
         start=start,
         productions=tuple(productions),
-        flavor=flavor,
     )
 
 
@@ -64,7 +62,6 @@ class TestDeanchor:
     def test_anchored_fixture(self, fixture):
         eg = load(fixture)
         sg = transforms.deanchor(eg)
-        assert sg.flavor is Flavor.STANDARD
         assert all(p.anchor is Anchor.NONE for p in sg.productions)
         assert grammar.generate_language(sg, 6) == grammar.generate_language(eg, 6)
 
@@ -72,7 +69,6 @@ class TestDeanchor:
         g = grammar_of(
             [Production(word("S"), word("A b")), Production(word("A"), word("a b"), Anchor.LEFT)],
             nonterminals="S A",
-            flavor=Flavor.EXTENDED,
         )
         sg = transforms.deanchor(g)
         pairs = {(p.lhs, p.rhs) for p in sg.productions}
@@ -125,13 +121,16 @@ class TestGcsgToNca:
         with pytest.raises(ValueError):
             transforms.gcsg_to_nca(g)
 
-    def test_rejects_extended(self):
+    def test_anchored_productions_become_anchored_rules(self):
         g = grammar_of(
-            [Production(word("S"), ()), Production(word("T"), word("a b"), Anchor.LEFT)],
-            flavor=Flavor.EXTENDED,
+            [Production(word("S"), ()), Production(word("S"), word("T b")),
+             Production(word("T"), word("a b"), Anchor.LEFT)],
         )
-        with pytest.raises(ValueError):
-            transforms.gcsg_to_nca(g)
+        sys = transforms.gcsg_to_nca(g)
+        assert sys.rules == (Rule(word("T b"), (), Anchor.BOTH),
+                             Rule(word("a b"), word("T"), Anchor.LEFT))
+        assert nca.enumerate_language(sys, 6) == grammar.generate_language(g, 6) == {
+            (), word("a b b")}
 
     def test_all_rules_length_reducing(self, anbn_grammar):
         sys = transforms.gcsg_to_nca(anbn_grammar)
