@@ -31,10 +31,13 @@ def check_symbol(name: str) -> Symbol:
     """Validate a symbol name, returning it unchanged."""
     if not isinstance(name, str) or not name:
         raise ValueError(f"symbol name must be a non-empty string: {name!r}")
-    if any(c.isspace() for c in name):
+    if name.split() != [name]:
         raise ValueError(f"symbol name contains whitespace: {name!r}")
     if name == EMPTY_WORD_TOKEN:
         raise ValueError(f"{EMPTY_WORD_TOKEN!r} is reserved for the empty word")
+    # the text format reads these as a comment, a rule's arrow or an anchor
+    if "#" in name or "->" in name or name[0] == "@":
+        raise ValueError(f"symbol name contains '#' or '->', or starts with '@': {name!r}")
     return name
 
 

@@ -17,9 +17,9 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Anchor, Symbol, ValidationError, Word, check_symbol, splice
+from .core import Alphabet, Anchor, Symbol, ValidationError, Word, check_symbol, splice
 from . import nca
-from .nca import ENUMERATION_GUARD, Budget, Decision, Rule, RuleIndex, Status
+from .nca import ENUMERATION_GUARD, Budget, Decision, NcaSystem, Rule, RuleIndex, Status
 
 
 # a production is a rule read in the generating direction
@@ -52,19 +52,21 @@ class Grammar:
         return nca.index_rules(self.productions)
 
     @functools.cached_property
-    def _backward(self) -> RuleIndex:
-        """The grammar read right to left, built once: one length-reducing
-        rule per production, indexed.  The start productions ``S -> v``
-        come first, as ``v -> _ @both`` (``S -> _`` gives none), then every
-        other production reversed, in production order.  Every non-start
-        production grows, so every reversed one shortens.  An erase matches
-        only its own word ``v`` and has a lower index than any other rule,
-        so on ``v`` it is the first of the sorted moves."""
+    def _backward(self) -> NcaSystem:
+        """The grammar read right to left, built once: the system, over every
+        symbol but the start, that :func:`member` decides on and
+        :func:`gcsl.transforms.gcsg_to_nca` returns.  The start productions
+        ``S -> v`` come first, as ``v -> _ @both`` (``S -> _`` gives none),
+        then every other production reversed, in production order.  Every
+        non-start production grows, so every reversed one shortens.  An
+        erase matches only its own word ``v`` and has a lower index than
+        any other rule, so on ``v`` it is the first of the sorted moves."""
         sigma_lhs = (self.start,)
         erases = [Rule(p.rhs, (), Anchor.BOTH) for p in self.productions
                   if p.lhs == sigma_lhs and p.rhs]
         reversals = [Rule(p.rhs, p.lhs, p.anchor) for p in self.productions if p.lhs != sigma_lhs]
-        return nca.index_rules(tuple(erases + reversals))
+        working = self.alphabet - {self.start}
+        return NcaSystem(Alphabet(self.terminals, working), tuple(erases + reversals))
 
 
 def _validate(g: Grammar) -> list[str]:
@@ -144,16 +146,12 @@ def generate_language(g: Grammar, max_len: int) -> set[Word]:
 def member(g: Grammar, w: Word, budget: Budget = nca.DEFAULT_BUDGET,
            *, memo: Optional[set] = None) -> Decision:
     """Is ``w`` in the language of ``g``?  The empty word is a member
-    exactly when ``S -> _`` is a production, and any other word exactly
-    when the grammar's reversed rules (``Grammar._backward``) reduce it to
-    the empty word.  That is :func:`gcsl.nca.decide`, deterministic pass
-    then search, on :func:`gcsl.transforms.gcsg_to_nca`, whose rules the
-    witness indexes."""
-    bad = [s for s in w if s not in g.terminals]
-    if bad:
-        raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
+    exactly when ``S -> _`` is a production.  Any other word is a member
+    exactly when the grammar's reversed system (``Grammar._backward``,
+    the object :func:`gcsl.transforms.gcsg_to_nca` returns) reduces it to
+    the empty word, so this is :func:`gcsl.nca.decide` on that system,
+    whose rules the witness indexes."""
     if w == ():
         eps = Production((g.start,), ()) in g.productions
         return Decision(Status.ACCEPTED, ()) if eps else Decision(Status.REJECTED)
-    return nca._decide(g._backward, w, budget, memo)
-
+    return nca.decide(g._backward, w, budget, memo=memo)

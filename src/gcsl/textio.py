@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 # ValidationError is re-exported: parse_system raises it next to ParseError
-from .core import Alphabet, Anchor, ValidationError, Word, check_symbol, word_str
+from .core import Alphabet, Anchor, ValidationError, Word, check_symbol, word, word_str
 from . import grammar as grammar_mod
 from . import history as history_mod
 from . import nca as nca_mod
@@ -47,11 +47,9 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _parse_word(tokens, lineno) -> Word:
-    if tokens == ["_"]:
-        return ()
+def _parse_word(text: str, lineno) -> Word:
     try:
-        return tuple(check_symbol(t) for t in tokens)
+        return word(text)
     except ValueError as e:
         raise ParseError(str(e), lineno)
 
@@ -67,8 +65,8 @@ def _parse_rule_line(text: str, lineno: int) -> Rule:
         if tok not in _ANCHORS:
             raise ParseError(f"unknown anchor {tok}", lineno, text.index(tok) + 1)
         anchor = _ANCHORS[tok]
-    lhs = _parse_word(left.split(), lineno)
-    rhs = _parse_word(rtokens, lineno)
+    lhs = _parse_word(left, lineno)
+    rhs = _parse_word(" ".join(rtokens), lineno)
     try:
         return Rule(lhs, rhs, anchor)
     except ValueError as e:
@@ -121,8 +119,8 @@ def parse_system(text: str):
         if body_key not in (None, "rules"):
             raise ParseError(f"kind nca expects a 'rules:' section, got '{body_key}:'")
         terminals_text, terminals_line = take("terminals")
-        terminals = _parse_word(terminals_text.split(), None)
-        working = _parse_word(take("alphabet")[0].split(), None)
+        terminals = _parse_word(terminals_text, terminals_line)
+        working = _parse_word(*take("alphabet"))
         _reject_unknown(headers)
         rules = tuple(_parse_rule_line(line, no) for line, no in body)
         try:
@@ -133,8 +131,8 @@ def parse_system(text: str):
 
     if body_key not in (None, "productions"):
         raise ParseError(f"kind {kind} expects a 'productions:' section, got '{body_key}:'")
-    terminals = _parse_word(take("terminals")[0].split(), None)
-    nonterminals = _parse_word(take("nonterminals")[0].split(), None)
+    terminals = _parse_word(*take("terminals"))
+    nonterminals = _parse_word(*take("nonterminals"))
     start, start_line = take("start")
     try:
         check_symbol(start)

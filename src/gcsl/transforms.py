@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .core import Alphabet, Anchor, Symbol, Word
+from .core import Anchor, Symbol, Word
 from .grammar import Grammar, Production
 from .nca import NcaSystem
 
@@ -130,11 +130,11 @@ def gcsg_to_nca(g: Grammar) -> NcaSystem:
     into an equivalent length-reducing system: start productions become
     both-anchored erasing rules, listed first, and everything else runs
     backwards, an anchored production as a rule with the same anchor.
-    :func:`gcsl.grammar.member` searches these rules."""
+    It is ``g._backward``, the same object on every call, which
+    :func:`gcsl.grammar.member` decides on."""
     if Production((g.start,), ()) not in g.productions:
         raise ValueError("grammar must contain the start -> empty word production")
-    working = g.terminals | (g.nonterminals - {g.start})
-    return NcaSystem(Alphabet(g.terminals, frozenset(working)), g._backward.rules)
+    return g._backward
 
 
 def _fresh_start(taken) -> Symbol:

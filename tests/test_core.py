@@ -94,6 +94,24 @@ def test_symbol_validation():
             check_symbol(bad)
 
 
+@pytest.mark.parametrize("name", ["#x", "a#b", "a->b", "->", "@x", "@both"])
+def test_names_the_text_format_cannot_write_back_are_refused(name):
+    # '#' starts a comment, '->' splits a rule line, and an '@' token last
+    # on a rule line reads as an anchor
+    with pytest.raises(ValueError):
+        check_symbol(name)
+    with pytest.raises(ValueError):
+        Alphabet(frozenset("a"), frozenset({"a", name}))
+    with pytest.raises(ValueError):
+        word(f"a {name}")
+
+
+def test_near_misses_are_symbols():
+    for name in ("a@", "-", ">", "a-", "-x", ">b", "x:y", "a_", "~@"):
+        assert check_symbol(name) == name
+        assert word(f"a {name}") == ("a", name)
+
+
 def test_word_round_trip():
     assert word("_") == ()
     assert word_str(()) == "_"

@@ -65,6 +65,12 @@ class TestValidate:
                     (Production((start,), ("a",)),))
         assert str(refused.value) in e.value.violations
 
+    @pytest.mark.parametrize("name", ["#x", "a->b", "@x"])
+    @pytest.mark.parametrize("role", ["terminal", "nonterminal", "start"])
+    def test_names_the_text_format_misreads_are_refused(self, name, role):
+        # "#x" would read as a comment, "a->b" as a rule, "@x" as an anchor
+        self.test_symbol_names_checked_as_in_alphabet(name, role)
+
     def test_every_bad_symbol_name_is_listed(self):
         with pytest.raises(ValidationError) as e:
             Grammar(frozenset({"S", ""}), frozenset({"a", "_", "a b"}), "S",
@@ -198,6 +204,20 @@ class TestMember:
         transforms.eliminate_terminals(g)
         transforms.gcsg_to_nca(g)
         assert sum(c is g for c in calls) == 1
+
+    def test_one_rule_index_per_grammar(self, monkeypatch):
+        # member searches the system gcsg_to_nca returns, so its index is
+        # built once and shared
+        calls = []
+        index_rules = nca.index_rules
+        monkeypatch.setattr(nca, "index_rules", lambda rules: calls.append(rules) or index_rules(rules))
+        g = load("anbn.gcsg")
+        for w in (word("a b"), word("a a b"), word("a b a b"), ()):
+            grammar.member(g, w)
+        sys = transforms.gcsg_to_nca(g)
+        nca.decide(sys, word("a a b b"))
+        assert len(calls) == 1
+        assert transforms.gcsg_to_nca(g) is sys is g._backward
 
     def test_non_growing_raises_on_every_call(self):
         for _ in range(2):

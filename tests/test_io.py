@@ -1,12 +1,21 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gcsl
-from gcsl import cli, history, nca, textio
-from gcsl.core import Alphabet, Anchor, word
+from gcsl import cli, history, nca, textio, transforms
+from gcsl.core import Alphabet, Anchor, check_symbol, word
 from gcsl.grammar import Grammar, Production
 from gcsl.nca import NcaSystem, Rule
 
 from conftest import FIXTURES, load
+
+
+def _is_symbol(name):
+    try:
+        check_symbol(name)
+    except ValueError:
+        return False
+    return True
 
 
 def fx(name):
@@ -71,6 +80,16 @@ class TestParse:
         with pytest.raises(textio.ParseError) as e:
             textio.parse_system(text)
         assert fragment in str(e.value)
+        assert e.value.line == line
+
+    @pytest.mark.parametrize("text, line", [
+        ("kind: nca\nterminals: a\nalphabet: a @x\nrules:\n", 3),
+        ("kind: nca\nterminals: a\nalphabet: a\nrules:\n@x a -> a\n", 5),
+        ("kind: gcsg\nterminals: a\nnonterminals: S @x\nstart: S\nproductions:\n", 3),
+    ])
+    def test_at_symbol_refused_on_its_line(self, text, line):
+        with pytest.raises(textio.ParseError, match="starts with '@'") as e:
+            textio.parse_system(text)
         assert e.value.line == line
 
     def test_validation_failure(self):
@@ -143,6 +162,27 @@ class TestSerialize:
         text = textio.serialize_system(g)
         assert text.splitlines()[0] == f"kind: {kind}"
         assert set(textio.parse_system(text).productions) == set(g.productions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_of_systems_built_in_code(self, data):
+        # names near the format's syntax, of "a", "b", "@", "#", "-", ">", ":" and "_"
+        names = st.text(alphabet="ab@#->:_", min_size=1, max_size=3).filter(_is_symbol)
+        letters = data.draw(st.lists(names, min_size=1, max_size=5, unique=True))
+        terminals = frozenset(data.draw(st.sets(st.sampled_from(letters))))
+        symbol = st.sampled_from(letters)
+        rules = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            lhs = data.draw(st.lists(symbol, min_size=1, max_size=3))
+            rhs = data.draw(st.lists(symbol, max_size=len(lhs) - 1))
+            rules.append(Rule(lhs, rhs, data.draw(st.sampled_from(list(Anchor)))))
+        sys = NcaSystem(Alphabet(terminals, frozenset(letters)), tuple(rules))
+        again = textio.parse_system(textio.serialize_system(sys))
+        assert (again.alphabet, set(again.rules)) == (sys.alphabet, set(sys.rules))
+        g = transforms.nca_to_gcsg(sys)
+        again = textio.parse_system(textio.serialize_system(g))
+        assert (again.nonterminals, again.terminals, again.start, set(again.productions)) == (
+            g.nonterminals, g.terminals, g.start, set(g.productions))
 
     def test_canonical_is_stable(self, fg2):
         shuffled = NcaSystem(fg2.alphabet, tuple(reversed(fg2.rules)))

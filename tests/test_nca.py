@@ -88,7 +88,7 @@ def indexed_rules(name, to_gcsg):
         system = transforms.nca_to_gcsg(system)
     if isinstance(system, NcaSystem):
         return system._index, sorted(system.alphabet.working)
-    return system._backward, sorted(system.alphabet)
+    return system._backward._index, sorted(system.alphabet)
 
 
 class TestRuleIndex:
@@ -286,16 +286,16 @@ class TestDecide:
 @functools.lru_cache(maxsize=None)
 def deciding(name, to_gcsg):
     """A fixture's ``decide`` or, for a grammar, ``member``, as a function
-    of a word and a budget; the rule index it searches; a system that
-    replays that index's moves; and the terminals."""
+    of a word and a budget; the rule index it searches; the system that
+    index belongs to, which replays its moves; and the terminals."""
     system = load(name)
     if to_gcsg:
         system = transforms.nca_to_gcsg(system)
     if isinstance(system, NcaSystem):
         return (functools.partial(nca.decide, system), system._index, system,
                 sorted(system.alphabet.terminals))
-    replay = NcaSystem(Alphabet(system.terminals, system.alphabet), system._backward.rules)
-    return (functools.partial(grammar.member, system), system._backward, replay,
+    backward = system._backward
+    return (functools.partial(grammar.member, system), backward._index, backward,
             sorted(system.terminals))
 
 
