@@ -20,16 +20,19 @@ from typing import NamedTuple, Optional
 from .core import Alphabet, Anchor, ValidationError, Word, anchor_ok, occurs_at, splice
 
 ENUMERATION_GUARD = 12
+# the most dead words one memo holds; a search that would store more stops
+MAX_MEMO = 10**6
 
 
 class BudgetExceededError(Exception):
-    """Raised when a search exceeds its node or memo budget."""
+    """Raised when a search expands over ``max_nodes`` words or fills its memo."""
 
 
 @dataclass(frozen=True)
 class Budget:
+    """The most words one search expands; the deterministic pass is unmetered."""
+
     max_nodes: int = 10**6
-    max_memo: int = 10**6
 
 
 DEFAULT_BUDGET = Budget()
@@ -216,10 +219,12 @@ def apply_move(sys: NcaSystem, w: Word, m: Move) -> Word:
 
 def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> Decision:
     """Exhaustive DFS over rule applications for a reduction of ``w`` to
-    the empty word, the one goal of NCA decide and grammar membership.
-    ``memo`` collects words that do not reduce to it and may be shared
-    across calls on the same rule set; ``None`` starts a fresh one.  The
-    path lives on an explicit stack, so no recursion limit bounds its depth.
+    the empty word, the one goal of NCA decide and grammar membership,
+    expanding at most ``budget.max_nodes`` words.  ``memo`` collects words
+    that do not reduce to it, at most :data:`MAX_MEMO`, and may be shared
+    across calls on the same rule set; ``None`` starts a fresh one, and a
+    root already in it is searched again.  The path lives on an explicit
+    stack, so no recursion limit bounds its depth.
 
     The root's moves come from a full scan (:func:`_moves`); each child's
     are derived from its parent's (:func:`_derive`), which looks up only
@@ -230,8 +235,6 @@ def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> D
         return Decision(Status.ACCEPTED, ())
     if memo is None:
         memo = set()
-    elif w in memo:
-        return Decision(Status.REJECTED)
     nodes = 0
     stack: list = []  # (word, its sorted moves, iterator over untried ones), root first
     path: list = []  # the move leading to each stack entry but the root
@@ -262,7 +265,7 @@ def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> D
                 word = child
                 break
         else:
-            if len(memo) >= budget.max_memo:
+            if len(memo) >= MAX_MEMO:
                 return Decision(Status.BUDGET_EXCEEDED)
             memo.add(parent)
             stack.pop()
@@ -271,17 +274,17 @@ def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> D
             path.pop()
 
 
-def _greedy(index: RuleIndex, w: Word, limit: int) -> tuple[list[tuple[int, int]], Word]:
+def _greedy(index: RuleIndex, w: Word) -> tuple[list[tuple[int, int]], Word]:
     """One deterministic left-to-right pass over ``w``, Cannon's algorithm
     made from the rules: letters move from the unread input onto a stack,
     and after each push, and after each erase, the longest left-hand side
     that is a suffix of the stack is rewritten, an anchored rule before an
     unanchored one of the same length, the lowest index first.  Anchors
     are checked against the whole word, the stack then the unread letters.
-    A rewrite's letters go back onto the unread input.  Every rewrite is a
-    legal move, so the pass returns its moves, at most ``limit`` of them,
-    and the word it stopped at: when that is the empty word, the moves are
-    a witness."""
+    A rewrite's letters go back onto the unread input.  Each rewrite is a
+    legal move that shortens the word, so the pass makes at most ``len(w)``
+    of them, needs no budget, and returns its moves and the word it stopped
+    at: when that is the empty word, the moves are a witness."""
     rules = index.rules
     by_len = index.by_len
     stack: list = []
@@ -309,8 +312,6 @@ def _greedy(index: RuleIndex, w: Word, limit: int) -> tuple[list[tuple[int, int]
                     break
             if hit is None:
                 break
-            if len(moves) == limit:
-                return moves, tuple(stack) + tuple(reversed(unread))
             moves.append((hit, pos))
             del stack[pos:]
             rhs = rules[hit].rhs
@@ -331,30 +332,27 @@ def decide(
     ``memo``, if given, collects words that do not reduce and may be shared
     across calls on the same system.  A word the deterministic pass
     (:func:`_greedy`) reduces is accepted with that pass's moves as its
-    witness, and fills no memo; :func:`_search` decides the others with
-    the node budget the pass left.  ``grammar.member`` is this function
-    on the grammar's reversed system."""
+    witness, at any budget, and fills no memo; :func:`_search` decides the
+    others within ``budget``.  ``grammar.member`` is this function on the
+    grammar's reversed system."""
     bad = [s for s in w if s not in sys.alphabet.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
     if memo is not None and w in memo:
         return Decision(Status.REJECTED)
-    moves, rest = _greedy(sys._index, w, budget.max_nodes)
+    moves, rest = _greedy(sys._index, w)
     if not rest:
         return Decision(Status.ACCEPTED, tuple(map(Move._make, moves)))
-    return _search(sys._index, w, Budget(budget.max_nodes - len(moves), budget.max_memo), memo)
+    return _search(sys._index, w, budget, memo)
 
 
-def enumerate_language(
-    sys: NcaSystem,
-    max_len: int,
-    *,
-    budget: Budget = DEFAULT_BUDGET,
-) -> set[Word]:
+def enumerate_language(sys: NcaSystem, max_len: int) -> set[Word]:
     """All accepted terminal words of length at most ``max_len``.  Words
     are decided in shortlex order by the search alone, sharing one memo
-    set: most of them are rejected, so the deterministic pass would be
-    wasted work, and with it enumeration took 1.3 to 2 times as long."""
+    set, each within :data:`DEFAULT_BUDGET`; a budget stop raises
+    :class:`BudgetExceededError`.  Most words are rejected, so the
+    deterministic pass would be wasted work, and with it enumeration took
+    1.3 to 2 times as long."""
     if max_len > ENUMERATION_GUARD:
         raise ValueError(f"max_len {max_len} exceeds enumeration guard {ENUMERATION_GUARD}")
     letters = sorted(sys.alphabet.terminals)
@@ -362,7 +360,7 @@ def enumerate_language(
     out: set[Word] = set()
     for n in range(max_len + 1):
         for combo in itertools.product(letters, repeat=n):
-            d = _search(sys._index, combo, budget, memo)
+            d = _search(sys._index, combo, DEFAULT_BUDGET, memo)
             if d.status is Status.BUDGET_EXCEEDED:
                 raise BudgetExceededError(f"budget exceeded while deciding {combo}")
             if d.accepted:

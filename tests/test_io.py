@@ -272,8 +272,12 @@ class TestCli:
         assert "budget exceeded" in capsys.readouterr().err
 
     def test_max_nodes_bounds_member(self, capsys):
-        assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b b", "--max-nodes", "1"]) == 3
+        # the pass reduces the first word, so it needs no budget; the
+        # search needs 3 nodes to reject the second
+        assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b b", "--max-nodes", "1"]) == 0
         assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b b", "--max-nodes", "10"]) == 0
+        assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b", "--max-nodes", "1"]) == 3
+        assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b", "--max-nodes", "3"]) == 1
 
     @pytest.mark.parametrize("value", ["0", "-1", "x", "\u00b2"])
     def test_max_nodes_below_one_is_usage_error(self, value, capsys):

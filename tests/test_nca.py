@@ -258,7 +258,10 @@ class TestDecide:
         assert nca._search(anbn_nca._index, word("a T b"), Budget(), None).accepted
 
     def test_budget_exceeded_is_distinct(self, fg2):
-        d = nca.decide(fg2, word("a A a A a A"), Budget(max_nodes=2))
+        # the pass reduces the first word, which needs no budget; the
+        # search needs 3 nodes to reject the second
+        assert nca.decide(fg2, word("a A a A a A"), Budget(max_nodes=2)).status is Status.ACCEPTED
+        d = nca.decide(fg2, word("a A a A a"), Budget(max_nodes=2))
         assert d.status is Status.BUDGET_EXCEEDED
 
     def test_deep_accepted_word(self, fg2, capsys):
@@ -318,17 +321,25 @@ def check_against_search(decide, index, sys, w):
     assert d.status is expected.status
     if d.accepted:
         assert replays_to_empty(sys, w, d.witness)
-    moves, rest = nca._greedy(index, w, ORACLE_BUDGET.max_nodes)
+    moves, rest = nca._greedy(index, w)
     if not rest:
         assert expected.accepted and replays_to_empty(sys, w, moves)
 
 
+def every_system(max_len, s3_len):
+    """``(name, to_gcsg, max_len)`` for every fixture and for the
+    ``nca_to_gcsg`` grammars of ``s3`` and ``fg2``, whose words are shorter
+    on the ``s3`` systems."""
+    return [
+        *((p.name, False, s3_len if p.name == "s3.nca" else max_len)
+          for p in sorted(FIXTURES.iterdir())),
+        pytest.param("s3.nca", True, s3_len, id="nca_to_gcsg(s3)"),
+        pytest.param("fg2.nca", True, max_len, id="nca_to_gcsg(fg2)"),
+    ]
+
+
 class TestGreedy:
-    @pytest.mark.parametrize("name, to_gcsg, max_len", [
-        *((p.name, False, 5 if p.name == "s3.nca" else 8) for p in sorted(FIXTURES.iterdir())),
-        pytest.param("s3.nca", True, 5, id="nca_to_gcsg(s3)"),
-        pytest.param("fg2.nca", True, 8, id="nca_to_gcsg(fg2)"),
-    ])
+    @pytest.mark.parametrize("name, to_gcsg, max_len", every_system(8, 5))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_fixtures_agree_with_search(self, name, to_gcsg, max_len, data):
@@ -344,37 +355,83 @@ class TestGreedy:
 
     def test_anchored_rule_first_at_equal_length(self, anbn_nca):
         # a T b -> _ @both goes before a T b -> T, which would leave T
-        moves, rest = nca._greedy(anbn_nca._index, word("a a b b"), 10)
+        moves, rest = nca._greedy(anbn_nca._index, word("a a b b"))
         assert rest == () and moves == [(0, 1), (3, 0)]
 
     def test_long_cancelling_word_in_one_pass(self, fg2):
         rng = random.Random(20_000)
         u = [rng.choice("aAbB") for _ in range(10_000)]
         w = tuple(u) + tuple(s.swapcase() for s in reversed(u))
-        moves, rest = nca._greedy(fg2._index, w, 10**6)
+        moves, rest = nca._greedy(fg2._index, w)
         assert rest == () and len(moves) == 10_000
         d = nca.decide(fg2, w)
         assert d.accepted and d.witness == tuple(map(Move._make, moves))
 
-    def test_pass_stops_at_the_budget(self, fg2):
-        moves, rest = nca._greedy(fg2._index, word("a A a A a A"), 2)
-        assert moves == [(0, 0), (0, 0)] and rest == word("a A")
+    def test_pass_needs_no_budget(self, fg2):
+        w = word("a A a A a A")
+        moves, rest = nca._greedy(fg2._index, w)
+        assert len(moves) == 3 and rest == ()
+        assert nca.decide(fg2, w, Budget(max_nodes=1)).accepted
+        # the pass leaves this word at a, and the search decides it
+        w = word("a A a A a")
+        assert nca._greedy(fg2._index, w)[1] == word("a")
+        assert nca.decide(fg2, w, Budget(max_nodes=1)).status is Status.BUDGET_EXCEEDED
+        assert nca.decide(fg2, w, Budget(max_nodes=3)).status is Status.REJECTED
 
-    def test_failed_pass_leaves_the_search_the_rest_of_the_budget(self, anbn_nca):
+    @pytest.mark.parametrize("name, to_gcsg, max_len", every_system(6, 4))
+    def test_pass_answers_at_any_budget(self, name, to_gcsg, max_len):
+        # every nonempty word of up to max_len letters that the pass
+        # reduces is accepted within one search node
+        decide, index, _, letters = deciding(name, to_gcsg)
+        reduced = [w for n in range(1, max_len + 1) for w in itertools.product(letters, repeat=n)
+                   if not nca._greedy(index, w)[1]]
+        assert reduced
+        for w in reduced:
+            assert decide(w, Budget(max_nodes=1)).accepted, w
+
+    def test_failed_pass_leaves_the_search_the_whole_budget(self, anbn_nca):
         w = word("a b a b")
         index = anbn_nca._index
-        moves, rest = nca._greedy(index, w, 100)
+        moves, rest = nca._greedy(index, w)
         assert len(moves) == 2 and rest == word("T T")
         # the fewest nodes with which the search alone rejects w
         nodes = next(n for n in itertools.count(1)
                      if nca._search(index, w, Budget(max_nodes=n), None).status is Status.REJECTED)
-        assert nca.decide(anbn_nca, w, Budget(max_nodes=nodes + 2)).status is Status.REJECTED
-        assert nca.decide(anbn_nca, w, Budget(max_nodes=nodes + 1)).status is Status.BUDGET_EXCEEDED
+        assert nodes == 4
+        assert nca.decide(anbn_nca, w, Budget(max_nodes=nodes)).status is Status.REJECTED
+        assert nca.decide(anbn_nca, w, Budget(max_nodes=nodes - 1)).status is Status.BUDGET_EXCEEDED
 
     def test_memo_answers_before_the_pass(self, fg2):
         # a word in the memo is rejected without a pass, even one that reduces
         w = word("a A")
         assert nca.decide(fg2, w, memo={w}).status is Status.REJECTED
+
+
+class TestMemoCap:
+    """A search whose memo reaches ``nca.MAX_MEMO`` words stops, and
+    enumeration reports that stop as a budget stop."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(nca, "MAX_MEMO", 5)
+
+    def test_decide_with_a_full_memo(self, anbn_nca):
+        memo = {("a",) * n for n in range(1, 6)}
+        d = nca.decide(anbn_nca, word("a a b"), memo=memo)
+        assert d.status is Status.BUDGET_EXCEEDED
+
+    def test_enumerate_raises(self):
+        with pytest.raises(nca.BudgetExceededError):
+            nca.enumerate_language(load("s3.nca"), 3)
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", str(FIXTURES / "s3.nca"), "--max-len", "3"],
+        ["equiv", str(FIXTURES / "fg2.nca"), str(FIXTURES / "fg1.nca"), "--max-len", "4"],
+    ], ids=["enumerate", "equiv"])
+    def test_cli_exits_3(self, argv, capsys):
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "budget exceeded" in err
 
 
 class TestEnumerate:
