@@ -7,8 +7,7 @@ strictly increases length.  Membership is decided by running the
 reversed productions as a length-reducing rewriting system, a start
 production ``S -> v`` becoming the erase ``v -> _ @both``: a non-empty
 word is in the language exactly when that system reduces it to the empty
-word.  Language enumeration is a forward breadth-first closure and serves
-as the independent oracle.
+word, and enumerating that system lists the language (``()`` aside).
 """
 
 from __future__ import annotations
@@ -17,9 +16,9 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Alphabet, Anchor, Symbol, ValidationError, Word, check_symbol, splice
+from .core import Alphabet, Anchor, Symbol, ValidationError, Word, check_symbol
 from . import nca
-from .nca import ENUMERATION_GUARD, Budget, Decision, NcaSystem, Rule, RuleIndex, Status
+from .nca import Budget, Decision, NcaSystem, Rule, Status
 
 
 # a production is a rule read in the generating direction
@@ -45,11 +44,6 @@ class Grammar:
     @property
     def alphabet(self) -> frozenset[Symbol]:
         return self.nonterminals | self.terminals
-
-    @functools.cached_property
-    def _forward(self) -> RuleIndex:
-        """The productions indexed by left-hand side, built on first use."""
-        return nca.index_rules(self.productions)
 
     @functools.cached_property
     def _backward(self) -> NcaSystem:
@@ -105,42 +99,14 @@ def _validate(g: Grammar) -> list[str]:
 
 
 def generate_language(g: Grammar, max_len: int) -> set[Word]:
-    """All terminal words of length <= max_len derivable from the start symbol.
-
-    Breadth-first closure; pruning sentential forms longer than max_len is
-    sound because non-start productions strictly grow.
-    """
-    if max_len > ENUMERATION_GUARD:
-        raise ValueError(f"max_len {max_len} exceeds enumeration guard {ENUMERATION_GUARD}")
-    sigma = g.start
-    terminals = g.terminals
-    index = g._forward
-
-    start_word: Word = (sigma,)
-    seen = {start_word}
-    frontier = [start_word]
-    out: set[Word] = set()
-    while frontier:
-        nxt = []
-        for w in frontier:
-            if w != start_word:
-                assert sigma not in w, "start symbol reappeared in a derivation"
-            if w and all(s in terminals for s in w):
-                out.add(w)
-            if len(w) >= max_len and w != start_word:
-                continue  # every successor would exceed max_len
-            for i, pos in nca._moves(index, w):
-                p = index.rules[i]
-                w2 = splice(w, pos, len(p.lhs), p.rhs)
-                if len(w2) > max_len:
-                    continue
-                if w2 == ():
-                    out.add(w2)
-                elif w2 not in seen:
-                    seen.add(w2)
-                    nxt.append(w2)
-        frontier = nxt
-    return out
+    """All terminal words of length at most ``max_len`` derivable from the
+    start symbol: :func:`gcsl.nca.enumerate_language` on ``g._backward``,
+    whose rules read right to left are the productions, ``S -> v``
+    inserting ``v`` into the empty word, kept only if ``S -> _`` is one."""
+    words = nca.enumerate_language(g._backward, max_len)
+    if Production((g.start,), ()) not in g.productions:
+        words.discard(())
+    return words
 
 
 def member(g: Grammar, w: Word, budget: Budget = nca.DEFAULT_BUDGET,

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcsl import grammar, nca, textio, transforms
 from gcsl.core import Anchor, ValidationError, check_symbol, word
@@ -125,6 +126,33 @@ class TestGenerate:
     def test_guard(self, anbn_grammar):
         with pytest.raises(ValueError):
             grammar.generate_language(anbn_grammar, 13)
+
+    @pytest.mark.parametrize("max_len", [-1, -5])
+    def test_negative_max_len_is_empty(self, anbn_grammar, max_len):
+        assert grammar.generate_language(anbn_grammar, max_len) == set()
+
+
+@st.composite
+def growing_grammars(draw):
+    """A growing grammar over terminals ``a b`` and non-terminals ``S T
+    U``: 1-3 start productions ``S -> v`` with ``v`` of at most 3 letters,
+    and 1-6 others whose left-hand side of 1-2 letters grows by 1-2, any of
+    them anchored."""
+    body = st.sampled_from("abTU")
+    productions = [Production(("S",), tuple(v))
+                   for v in draw(st.lists(st.lists(body, max_size=3), min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(1, 6))):
+        lhs = tuple(draw(st.lists(body, min_size=1, max_size=2)))
+        rhs = tuple(draw(st.lists(body, min_size=len(lhs) + 1, max_size=len(lhs) + 2)))
+        productions.append(Production(lhs, rhs, draw(st.sampled_from(list(Anchor)))))
+    return make(productions, nonterminals="S T U")
+
+
+@settings(max_examples=200, deadline=None)
+@given(growing_grammars(), st.integers(3, 6))
+def test_generate_agrees_with_member(g, max_len):
+    # the generating closure against the backward search
+    assert grammar.generate_language(g, max_len) == language_by_member(g, max_len)
 
 
 class TestMember:

@@ -148,11 +148,11 @@ class TestRuleIndex:
 
 
 @st.composite
-def shortening_rules(draw):
-    """A rule over ``a b c`` with a left-hand side of 1-3 letters, a
+def shortening_rules(draw, letters="abc"):
+    """A rule over ``letters`` with a left-hand side of 1-3 letters, a
     shorter (often empty) right-hand side, and any anchor."""
-    lhs = tuple(draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3)))
-    rhs = tuple(draw(st.lists(st.sampled_from("abc"), max_size=len(lhs) - 1)))
+    lhs = tuple(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3)))
+    rhs = tuple(draw(st.lists(st.sampled_from(letters), max_size=len(lhs) - 1)))
     return Rule(lhs, rhs, draw(st.sampled_from(list(Anchor))))
 
 
@@ -408,8 +408,9 @@ class TestGreedy:
 
 
 class TestMemoCap:
-    """A search whose memo reaches ``nca.MAX_MEMO`` words stops, and
-    enumeration reports that stop as a budget stop."""
+    """A search whose memo reaches ``nca.MAX_MEMO`` words stops, and an
+    enumeration, of a system or of a grammar, that would hold more than
+    ``nca.MAX_MEMO`` words stops with a budget stop."""
 
     @pytest.fixture(autouse=True)
     def small_cap(self, monkeypatch):
@@ -424,10 +425,15 @@ class TestMemoCap:
         with pytest.raises(nca.BudgetExceededError):
             nca.enumerate_language(load("s3.nca"), 3)
 
+    def test_generate_raises(self):
+        with pytest.raises(nca.BudgetExceededError):
+            grammar.generate_language(load("dyck.gcsg"), 8)
+
     @pytest.mark.parametrize("argv", [
         ["enumerate", str(FIXTURES / "s3.nca"), "--max-len", "3"],
         ["equiv", str(FIXTURES / "fg2.nca"), str(FIXTURES / "fg1.nca"), "--max-len", "4"],
-    ], ids=["enumerate", "equiv"])
+        ["enumerate", str(FIXTURES / "dyck.gcsg"), "--max-len", "8"],
+    ], ids=["enumerate", "equiv", "enumerate-grammar"])
     def test_cli_exits_3(self, argv, capsys):
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
@@ -444,6 +450,10 @@ class TestEnumerate:
 
     def test_max_len_zero(self, fg2):
         assert nca.enumerate_language(fg2, 0) == {()}
+
+    @pytest.mark.parametrize("max_len", [-1, -5])
+    def test_negative_max_len_is_empty(self, fg2, max_len):
+        assert nca.enumerate_language(fg2, max_len) == set()
 
     def test_guard(self, fg2):
         with pytest.raises(ValueError):
@@ -465,6 +475,16 @@ def brute_accept(sys, w):
     return any(
         brute_accept(sys, nca.apply_move(sys, w, m)) for m in nca.legal_moves(sys, w)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(shortening_rules("abT"), min_size=1, max_size=6).map(tuple), st.integers(0, 5))
+def test_enumeration_agrees_with_brute_force(rules, max_len):
+    # the generating closure against the memo-free decision oracle, on
+    # erasing, anchored and non-terminal (T) rules
+    sys = make(rules, working="a b T")
+    words = {w for n in range(max_len + 1) for w in itertools.product("ab", repeat=n)}
+    assert nca.enumerate_language(sys, max_len) == {w for w in words if brute_accept(sys, w)}
 
 
 @pytest.mark.parametrize("fixture", ["fg2.nca", "anbn.nca"])
