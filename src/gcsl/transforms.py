@@ -5,7 +5,8 @@ Four language-preserving constructions:
 * :func:`eliminate_terminals` — rewrite a grammar so that no terminal
   occurs in any production lhs, by doubling terminals with tilde twins.
 * :func:`deanchor` — compile anchored productions away using three caret
-  families of end-marker nonterminals.
+  families of end-marker nonterminals; a grammar with no anchored
+  production is only terminal-eliminated.
 * :func:`gcsg_to_nca` — reverse a growing grammar, anchored or not, into
   a length-reducing system with both-anchored erasing rules.
 * :func:`nca_to_gcsg` — reverse a rewriting system into an (extended,
@@ -76,9 +77,13 @@ def deanchor(g: Grammar) -> Grammar:
     decorating the outermost nonterminal of every start production's rhs
     with caret markers; anchored productions are then re-issued only in
     their correspondingly decorated forms, so they can fire only at the
-    word ends.
+    word ends.  The carets serve only to pin anchored productions, so a
+    grammar with no anchored production is returned terminal-eliminated,
+    without them.
     """
     g = eliminate_terminals(g)
+    if all(p.anchor is Anchor.NONE for p in g.productions):
+        return g
     sigma = g.start
     plain = g.nonterminals - {sigma}
     left = {n: caret_left(n) for n in plain}

@@ -1,7 +1,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
+from gcsl.core import Anchor
+from gcsl.nca import Rule
 from gcsl.textio import parse_system
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -29,3 +32,12 @@ def anbn_nca():
 @pytest.fixture
 def xanchor():
     return load("xanchor.nca")
+
+
+@st.composite
+def shortening_rules(draw, letters="abc"):
+    """A rule over ``letters`` with a left-hand side of 1-3 letters, a
+    shorter (often empty) right-hand side, and any anchor."""
+    lhs = tuple(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3)))
+    rhs = tuple(draw(st.lists(st.sampled_from(letters), max_size=len(lhs) - 1)))
+    return Rule(lhs, rhs, draw(st.sampled_from(list(Anchor))))

@@ -9,7 +9,7 @@ from gcsl import cli, grammar, nca, transforms
 from gcsl.core import Alphabet, Anchor, ValidationError, splice, word
 from gcsl.nca import Budget, Move, NcaSystem, Rule, Status
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, load, shortening_rules
 from test_core import occurrences
 
 
@@ -96,6 +96,7 @@ class TestRuleIndex:
         *((p.name, False) for p in sorted(FIXTURES.glob("*.nca"))),
         pytest.param("s3.nca", True, id="nca_to_gcsg(s3)"),
         pytest.param("fg2.nca", True, id="nca_to_gcsg(fg2)"),
+        pytest.param("right_anchor.nca", True, id="nca_to_gcsg(right_anchor)"),
         ("left_anchor.egcsg", False), ("right_anchor.egcsg", False), ("both_anchor.egcsg", False),
     ])
     @settings(max_examples=60, deadline=None)
@@ -145,15 +146,6 @@ class TestRuleIndex:
     def test_empty_lhs_rejected(self):
         with pytest.raises(ValueError, match="empty left hand side"):
             Rule((), word("a"))
-
-
-@st.composite
-def shortening_rules(draw, letters="abc"):
-    """A rule over ``letters`` with a left-hand side of 1-3 letters, a
-    shorter (often empty) right-hand side, and any anchor."""
-    lhs = tuple(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3)))
-    rhs = tuple(draw(st.lists(st.sampled_from(letters), max_size=len(lhs) - 1)))
-    return Rule(lhs, rhs, draw(st.sampled_from(list(Anchor))))
 
 
 small_systems = st.lists(shortening_rules(), min_size=1, max_size=8).map(tuple)
@@ -328,13 +320,14 @@ def check_against_search(decide, index, sys, w):
 
 def every_system(max_len, s3_len):
     """``(name, to_gcsg, max_len)`` for every fixture and for the
-    ``nca_to_gcsg`` grammars of ``s3`` and ``fg2``, whose words are shorter
-    on the ``s3`` systems."""
+    ``nca_to_gcsg`` grammars of ``s3``, ``fg2`` and ``right_anchor``, the
+    last with caret symbols; words are shorter on the ``s3`` systems."""
     return [
         *((p.name, False, s3_len if p.name == "s3.nca" else max_len)
           for p in sorted(FIXTURES.iterdir())),
         pytest.param("s3.nca", True, s3_len, id="nca_to_gcsg(s3)"),
         pytest.param("fg2.nca", True, max_len, id="nca_to_gcsg(fg2)"),
+        pytest.param("right_anchor.nca", True, max_len, id="nca_to_gcsg(right_anchor)"),
     ]
 
 

@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gcsl import grammar, nca, transforms
+from gcsl import grammar, nca, textio, transforms
 from gcsl.core import Alphabet, Anchor, word
 from gcsl.grammar import Grammar, Production
 from gcsl.nca import NcaSystem, Rule
 
-from conftest import load
+from conftest import load, shortening_rules
 
 
 def grammar_of(productions, terminals="a b", nonterminals="S T", start="S"):
@@ -79,6 +80,10 @@ class TestDeanchor:
     def test_unanchored_grammar_language_unchanged(self, anbn_grammar):
         sg = transforms.deanchor(anbn_grammar)
         assert grammar.generate_language(sg, 6) == grammar.generate_language(anbn_grammar, 6)
+
+    def test_unanchored_grammar_is_only_terminal_eliminated(self, anbn_grammar, fg2):
+        for g in (anbn_grammar, transforms.nca_to_extended_gcsg(fg2)):
+            assert transforms.deanchor(g) == transforms.eliminate_terminals(g)
 
     def test_nca_derived_grammar(self, xanchor):
         eg = transforms.nca_to_extended_gcsg(xanchor)
@@ -191,9 +196,48 @@ class TestNcaToGcsg:
         assert eg.start not in sys.alphabet.working
 
 
-def test_decorated_symbols_report_unreachable(xanchor):
-    sg = transforms.nca_to_gcsg(xanchor)
+def has_carets(g):
+    return any(transforms.CARET in n for n in g.nonterminals)
+
+
+class TestUnanchoredConversion:
+    """A system whose extended grammar has no anchored production converts
+    without the caret families, which only pin anchored productions."""
+
+    @pytest.mark.parametrize("name, productions, carets", [
+        ("fg2.nca", 241, False), ("s3.nca", 147, False), ("fg1.nca", 57, False),
+        ("anbn.nca", 17, False), ("right_anchor.nca", 69, True),
+    ])
+    def test_sizes_and_carets(self, name, productions, carets):
+        sg = transforms.nca_to_gcsg(load(name))
+        assert len(sg.productions) == productions
+        assert has_carets(sg) is carets
+
+    @pytest.mark.parametrize("name, max_len", [("s3.nca", 4), ("fg2.nca", 6), ("fg1.nca", 9)])
+    def test_pass_reduces_every_accepted_word(self, name, max_len):
+        sys = load(name)
+        index = transforms.nca_to_gcsg(sys)._backward._index
+        words = nca.enumerate_language(sys, max_len) - {()}
+        assert [w for w in sorted(words) if nca._greedy(index, w)[1] != ()] == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(shortening_rules("abT"), min_size=1, max_size=5).map(tuple),
+           st.integers(0, 5))
+    def test_random_systems(self, rules, max_len):
+        # anchored, unanchored and erasing rules, over terminals a b and non-terminal T
+        sys = NcaSystem(Alphabet(frozenset("ab"), frozenset("abT")), rules)
+        sg = transforms.nca_to_gcsg(sys)
+        assert textio.first_difference(sys, sg, max_len) is None
+        anchored = any(p.anchor is not Anchor.NONE
+                       for p in transforms.nca_to_extended_gcsg(sys).productions)
+        assert has_carets(sg) is anchored
+
+
+def test_decorated_symbols_report_unreachable():
+    sg = transforms.deanchor(load("left_anchor.egcsg"))
     reachable = transforms.reachable_symbols(sg)
-    assert "x" in reachable
-    # the caret families exist but this tiny grammar never rewrites them
-    assert any(n.startswith("^") and n not in reachable for n in sg.nonterminals)
+    assert {"a", "b"} <= reachable
+    # the caret families exist but this grammar never rewrites some of them
+    assert sorted(sg.alphabet - reachable) == ["L^", "^L^", "^~a^", "^~b", "^~b^", "~a^", "~b"]
+    # an anchored system still converts with carets
+    assert has_carets(transforms.nca_to_gcsg(load("right_anchor.nca")))
