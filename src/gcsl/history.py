@@ -5,7 +5,8 @@ letter-level provenance: each event consumes a block of letters and
 produces fresh ones.  From the provenance we compute the diagram
 geometry (exact rational widths and horizontal intervals, generations,
 substitution lines) that :func:`gcsl.textio.format_diagram` draws, the
-precedence order between substitutions as a closure matrix, swap moves
+precedence order between substitutions as a closure matrix, built in one
+pass that keeps each event's predecessors as an int bit set, swap moves
 between equivalent reductions (each event keeping its rule's anchor),
 the canonical left-first reordering, which one left-to-right replay of
 the letters finds without any geometry, and reorderings that pull one
@@ -135,34 +136,25 @@ def geometry(h: History) -> Geometry:
     return Geometry(tuple(widths), tuple(gens), tuple(intervals), tuple(lines))
 
 
-def _closure(succ: list[list[int]]) -> list[list[bool]]:
-    n = len(succ)
-    reach = [[False] * n for _ in range(n)]
-    for i, out in enumerate(succ):
-        for j in out:
-            reach[i][j] = True
-    # events are in temporal order, so edges only go forward
-    for k in range(n):
-        rk = reach[k]
-        for i in range(k):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(k + 1, n):
-                    if rk[j]:
-                        ri[j] = True
-    return reach
-
-
 def precedence(h: History) -> tuple[tuple[bool, ...], ...]:
     """The partial order generated by "consumes a letter produced by", as
     the matrix ``before`` of its closure: ``before[i][j]`` says that event
-    ``i`` precedes event ``j``."""
-    succ: list[list[int]] = [[] for _ in h.events]
-    producer = {lid: i for i, e in enumerate(h.events) for lid in e.produced}
+    ``i`` precedes event ``j``.  One pass in event order gives each event
+    its predecessors as an int bit set: the producers of the letters it
+    consumes, together with their own predecessors."""
+    producer: dict[int, int] = {}
+    preds: list[int] = []
     for j, e in enumerate(h.events):
-        for i in {producer[c] for c in e.consumed if c in producer}:
-            succ[i].append(j)
-    return tuple(map(tuple, _closure(succ)))
+        bits = 0
+        for c in e.consumed:
+            i = producer.get(c)
+            if i is not None:
+                bits |= preds[i] | 1 << i
+        preds.append(bits)
+        for lid in e.produced:
+            producer[lid] = j
+    n = len(preds)
+    return tuple(tuple(bool(preds[j] >> i & 1) for j in range(n)) for i in range(n))
 
 
 def swap_adjacent(h: History, i: int) -> History:

@@ -39,8 +39,7 @@ class ParseError(Exception):
         self.column = column
 
 
-_ANCHORS = {"@left": Anchor.LEFT, "@right": Anchor.RIGHT, "@both": Anchor.BOTH}
-_ANCHOR_SUFFIX = {Anchor.LEFT: " @left", Anchor.RIGHT: " @right", Anchor.BOTH: " @both", Anchor.NONE: ""}
+_ANCHORS = {"@" + a.value: a for a in Anchor if a is not Anchor.NONE}
 
 
 def _strip(line: str) -> str:
@@ -159,7 +158,8 @@ def _reject_unknown(headers):
 
 
 def _rule_line(lhs, rhs, anchor) -> str:
-    return f"{word_str(lhs)} -> {word_str(rhs)}{_ANCHOR_SUFFIX[anchor]}"
+    line = f"{word_str(lhs)} -> {word_str(rhs)}"
+    return line if anchor is Anchor.NONE else line + " @" + anchor.value
 
 
 def serialize_system(sys) -> str:

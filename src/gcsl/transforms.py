@@ -4,9 +4,10 @@ Four language-preserving constructions:
 
 * :func:`eliminate_terminals` — rewrite a grammar so that no terminal
   occurs in any production lhs, by doubling terminals with tilde twins.
-* :func:`deanchor` — compile anchored productions away using three caret
-  families of end-marker nonterminals; a grammar with no anchored
-  production is only terminal-eliminated.
+* :func:`deanchor` — compile anchored productions away: one marking
+  function carets the nonterminals at the word ends, and each production
+  is copied once for each end context its anchor allows; a grammar with
+  no anchored production is only terminal-eliminated.
 * :func:`gcsg_to_nca` — reverse a growing grammar, anchored or not, into
   a length-reducing system with both-anchored erasing rules.
 * :func:`nca_to_gcsg` — reverse a rewriting system into an (extended,
@@ -25,20 +26,9 @@ TILDE = "~"
 CARET = "^"
 
 
-def tilde(name: Symbol) -> Symbol:
-    return TILDE + name
-
-
-def caret_left(name: Symbol) -> Symbol:
-    return CARET + name
-
-
-def caret_right(name: Symbol) -> Symbol:
-    return name + CARET
-
-
-def caret_both(name: Symbol) -> Symbol:
-    return CARET + name + CARET
+def _pins(anchor: Anchor) -> tuple[bool, bool]:
+    """Which ends of the word a match under ``anchor`` must touch: (left, right)."""
+    return anchor in (Anchor.LEFT, Anchor.BOTH), anchor in (Anchor.RIGHT, Anchor.BOTH)
 
 
 def _fresh_or_die(new_names, existing):
@@ -53,7 +43,7 @@ def eliminate_terminals(g: Grammar) -> Grammar:
     every rhs terminal occurrence is optionally replaced, so a production
     with k terminal occurrences on the right becomes 2^k productions."""
     terminals = g.terminals
-    twins = {x: tilde(x) for x in terminals}
+    twins = {x: TILDE + x for x in terminals}
     _fresh_or_die(twins.values(), g.alphabet)
 
     productions = []
@@ -73,55 +63,42 @@ def eliminate_terminals(g: Grammar) -> Grammar:
 def deanchor(g: Grammar) -> Grammar:
     """Compile an extended grammar into a language-equal standard one.
 
-    After terminal elimination, end-of-word positions are made visible by
-    decorating the outermost nonterminal of every start production's rhs
-    with caret markers; anchored productions are then re-issued only in
-    their correspondingly decorated forms, so they can fire only at the
-    word ends.  The carets serve only to pin anchored productions, so a
-    grammar with no anchored production is returned terminal-eliminated,
-    without them.
+    After terminal elimination, carets make the word ends visible: a plain
+    nonterminal ``X`` that touches the left end is written ``^X``, one
+    that touches the right end ``X^``, and a one-symbol word at both ends
+    ``^X^``.  One marking function applies this to both sides of a
+    production.  Each start production is marked at both ends.  Every
+    other production is issued once for each end context its anchor
+    allows: an end the anchor pins must be touched and any other end may
+    or may not be, in the order plain, left, right, both.  The carets serve
+    only to pin anchored productions, so a grammar with no anchored
+    production is returned terminal-eliminated, without them.
     """
     g = eliminate_terminals(g)
     if all(p.anchor is Anchor.NONE for p in g.productions):
         return g
     sigma = g.start
     plain = g.nonterminals - {sigma}
-    left = {n: caret_left(n) for n in plain}
-    right = {n: caret_right(n) for n in plain}
-    both = {n: caret_both(n) for n in plain}
-    new_names = list(left.values()) + list(right.values()) + list(both.values())
+    new_names = [name for n in plain for name in (CARET + n, n + CARET, CARET + n + CARET)]
     _fresh_or_die(new_names, g.alphabet)
 
-    def mark_l(w: Word) -> Word:
-        if w and w[0] in plain:
-            return (left[w[0]],) + w[1:]
-        return w
+    def mark(w: Word, left: bool, right: bool) -> Word:
+        # a plain symbol gains a caret on each side where it touches a given end
+        last = len(w) - 1
+        return tuple(CARET * (left and i == 0) + s + CARET * (right and i == last)
+                     if s in plain else s for i, s in enumerate(w))
 
-    def mark_r(w: Word) -> Word:
-        if w and w[-1] in plain:
-            return w[:-1] + (right[w[-1]],)
-        return w
-
-    def mark_lr(w: Word) -> Word:
-        if len(w) == 1 and w[0] in plain:
-            return (both[w[0]],)
-        return mark_l(mark_r(w))
-
-    # the decorated copies issued for a non-start production, by anchor
-    marks = {
-        Anchor.NONE: (lambda w: w, mark_l, mark_r, mark_lr),
-        Anchor.LEFT: (mark_l, mark_lr),
-        Anchor.RIGHT: (mark_r, mark_lr),
-        Anchor.BOTH: (mark_lr,),
-    }
     sigma_lhs = (sigma,)
     productions = []
     for p in g.productions:
         u, v = p.lhs, p.rhs
         if u == sigma_lhs:
-            productions.append(Production(u, mark_lr(v)))
-        else:
-            productions.extend(Production(mark(u), mark(v)) for mark in marks[p.anchor])
+            productions.append(Production(u, mark(v, True, True)))
+            continue
+        pin_left, pin_right = _pins(p.anchor)
+        for right in (True,) if pin_right else (False, True):
+            for left in (True,) if pin_left else (False, True):
+                productions.append(Production(mark(u, left, right), mark(v, left, right)))
     return Grammar(
         nonterminals=g.nonterminals | frozenset(new_names),
         terminals=g.terminals,
@@ -151,17 +128,6 @@ def _fresh_start(taken) -> Symbol:
     return f"S{i}"
 
 
-# how a context production re-grows an erased word v beside a neighbour x,
-# by the erasing rule's anchor, which the production keeps: x -> x v puts v
-# after x, x -> v x before it
-_ERASING_CONTEXT = {
-    Anchor.NONE: (lambda x, v: (x,) + v, lambda x, v: v + (x,)),
-    Anchor.LEFT: (lambda x, v: v + (x,),),
-    Anchor.RIGHT: (lambda x, v: (x,) + v,),
-    Anchor.BOTH: (),
-}
-
-
 def nca_to_extended_gcsg(sys: NcaSystem) -> Grammar:
     """The extended-grammar intermediate of the system-to-grammar
     conversion.  Erasing rules are compensated by context productions
@@ -177,9 +143,14 @@ def nca_to_extended_gcsg(sys: NcaSystem) -> Grammar:
         if u != ():
             productions.append(Production(u, v, r.anchor))
             continue
+        # v re-grows after a neighbour x unless it must touch the left end,
+        # and before x unless it must touch the right end
+        pin_left, pin_right = _pins(r.anchor)
         for x in order:
-            for grow in _ERASING_CONTEXT[r.anchor]:
-                productions.append(Production((x,), grow(x, v), r.anchor))
+            if not pin_left:
+                productions.append(Production((x,), (x,) + v, r.anchor))
+            if not pin_right:
+                productions.append(Production((x,), v + (x,), r.anchor))
         productions.append(Production((sigma,), v))
     return Grammar(
         nonterminals=(working - terminals) | {sigma},

@@ -145,10 +145,28 @@ def overlaps(lines):
     return succ
 
 
+def _closure(succ: list[list[int]]) -> list[list[bool]]:
+    n = len(succ)
+    reach = [[False] * n for _ in range(n)]
+    for i, out in enumerate(succ):
+        for j in out:
+            reach[i][j] = True
+    # events are in temporal order, so edges only go forward
+    for k in range(n):
+        rk = reach[k]
+        for i in range(k):
+            if reach[i][k]:
+                ri = reach[i]
+                for j in range(k + 1, n):
+                    if rk[j]:
+                        ri[j] = True
+    return reach
+
+
 def dependency_closure(h):
     """Closure of the overlap order: the reference dependency order of an
     unanchored history, from its exact diagram geometry."""
-    return history._closure(overlaps(history.geometry(h).lines))
+    return _closure(overlaps(history.geometry(h).lines))
 
 
 def test_criterion_6_history_calculus_invariants():

@@ -66,6 +66,7 @@ class TestParse:
             ("kind: xyz\n", "unknown kind", None),
             ("kind: nca\nterminals: a\nalphabet: a\nrules:\na b\n", "expected 'LHS -> RHS'", 5),
             ("kind: nca\nterminals: a\nalphabet: a\nrules:\na -> _ @mid\n", "unknown anchor", 5),
+            ("kind: nca\nterminals: a\nalphabet: a\nrules:\na -> _ @none\n", "unknown anchor", 5),
             ("kind: nca\nterminals: a\nkind: nca\n", "duplicate header", 3),
             ("kind: nca\nterminals: a\nalphabet: a\ncolor: red\n", "unknown header", 4),
             ("kind: nca\nalphabet: a\nrules:\n", "missing header 'terminals'", None),
@@ -375,6 +376,25 @@ class TestCli:
         assert cli.main(["decide", str(out), "a a b"]) == 0
         assert cli.main(["decide", str(out), "a a a b"]) == 1
         assert capsys.readouterr().out == "accepted\nrejected\n"
+
+    @pytest.mark.parametrize("to, fn", [("standard", transforms.deanchor),
+                                        ("noterm", transforms.eliminate_terminals)])
+    @pytest.mark.parametrize("fixture", ["anbn.gcsg", "left_anchor.egcsg",
+                                         "right_anchor.egcsg", "both_anchor.egcsg"])
+    def test_convert_grammar_targets(self, to, fn, fixture, tmp_path, capsys):
+        out = tmp_path / f"converted.{to}"
+        assert cli.main(["convert", "--to", to, fx(fixture)]) == 0
+        text = capsys.readouterr().out
+        assert text == textio.serialize_system(fn(load(fixture)))
+        assert isinstance(textio.parse_system(text), Grammar)
+        out.write_text(text, encoding="utf-8")
+        assert cli.main(["equiv", fx(fixture), str(out), "--max-len", "6"]) == 0
+        assert capsys.readouterr().out == "equal up to length 6\n"
+
+    def test_convert_standard_refuses_a_system(self, capsys):
+        assert cli.main(["convert", "--to", "standard", fx("fg2.nca")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expects a grammar" in captured.err
 
     def test_convert_stdout_reparses(self, capsys):
         assert cli.main(["convert", "--to", "gcsg", fx("xanchor.nca")]) == 0

@@ -90,6 +90,24 @@ class TestDeanchor:
         sg = transforms.deanchor(eg)
         assert grammar.generate_language(sg, 4) == {(), ("x",)}
 
+    @pytest.mark.parametrize("anchor, copies", [
+        (Anchor.NONE, (("A", "B B"), ("^A", "^B B"), ("A^", "B B^"), ("^A^", "^B B^"))),
+        (Anchor.LEFT, (("^A", "^B B"), ("^A^", "^B B^"))),
+        (Anchor.RIGHT, (("A^", "B B^"), ("^A^", "^B B^"))),
+        (Anchor.BOTH, (("^A^", "^B B^"),)),
+    ])
+    def test_copy_order(self, anchor, copies):
+        # the copies' order sets the rule indices of the reversed system
+        g = grammar_of(
+            [Production(word("S"), word("A")), Production(word("A"), word("B B"), anchor),
+             Production(word("B"), word("b a"), Anchor.BOTH)],
+            nonterminals="S A B",
+        )
+        sg = transforms.deanchor(g)
+        assert sg.productions[0] == Production(word("S"), word("^A^"))
+        assert tuple(p for p in sg.productions if p.lhs[0].strip("^") == "A") == tuple(
+            Production(word(u), word(v)) for u, v in copies)
+
     def test_symbol_accounting(self):
         eg = load("left_anchor.egcsg")
         sg = transforms.deanchor(eg)
@@ -177,6 +195,20 @@ class TestNcaToGcsg:
         assert nca.enumerate_language(sys, 4) == grammar.generate_language(
             transforms.nca_to_gcsg(sys), 4
         )
+
+    @pytest.mark.parametrize("anchor, grown", [
+        (Anchor.NONE, (("a", "a a b"), ("a", "a b a"), ("b", "b a b"), ("b", "a b b"))),
+        (Anchor.LEFT, (("a", "a b a"), ("b", "a b b"))),
+        (Anchor.RIGHT, (("a", "a a b"), ("b", "b a b"))),
+        (Anchor.BOTH, ()),
+    ])
+    def test_erasing_rule_production_order(self, anchor, grown):
+        sys = NcaSystem(Alphabet(frozenset("ab"), frozenset("ab")), (Rule(word("a b"), (), anchor),))
+        eg = transforms.nca_to_extended_gcsg(sys)
+        assert eg.productions == (
+            (Production(word("S"), ()),)
+            + tuple(Production(word(x), word(v), anchor) for x, v in grown)
+            + (Production(word("S"), word("a b")),))
 
     def test_non_erasing_rules_reverse_with_anchor(self, anbn_nca):
         eg = transforms.nca_to_extended_gcsg(anbn_nca)
