@@ -1,7 +1,12 @@
 """Command line interface.
 
+``trace`` and ``decide --trace`` take systems and grammars.  For a grammar,
+``rule#k`` indexes its reversed system: each start production ``S -> v`` as
+``v -> _ @both``, then the other productions reversed, in file order.
+
 Exit codes: 0 success / accepted / languages equal, 1 rejected / unequal,
-2 usage or parse error, 3 budget exceeded, 4 internal error.
+2 usage or parse error, 3 budget exceeded (search nodes, or ``nca.MAX_MEMO``
+memo words, enumerated words or converted productions), 4 internal error.
 """
 
 from __future__ import annotations
@@ -73,9 +78,7 @@ def cmd_convert(args) -> int:
     expected, fn = _CONVERSIONS[args.to]
     system = _load(args.file)
     if not isinstance(system, expected):
-        raise _CliError(
-            f"convert --to {args.to} expects a {expected.__name__.lower()} input"
-        )
+        raise _CliError(f"convert --to {args.to} expects a {expected.__name__.lower()} input")
     try:
         result = fn(system)
     except ValueError as e:
@@ -86,9 +89,9 @@ def cmd_convert(args) -> int:
 
 def _accepted(system, text: str, max_nodes: int):
     """Decide the word ``text`` on ``system`` within ``max_nodes`` search
-    nodes.  Returns the word and its witness when accepted; prints a
-    rejection and returns None; a budget stop raises
-    :class:`nca.BudgetExceededError`."""
+    nodes.  Returns the system whose rules the witness indexes (a grammar's
+    ``_backward``), the word and the witness when accepted; prints a
+    rejection and returns None; a budget stop raises :class:`nca.BudgetExceededError`."""
     budget = Budget(max_nodes=max_nodes)
     try:
         w = word(text)
@@ -96,6 +99,7 @@ def _accepted(system, text: str, max_nodes: int):
             decision = nca_mod.decide(system, w, budget)
         else:
             decision = grammar_mod.member(system, w, budget)
+            system = system._backward
     except ValueError as e:
         raise _CliError(str(e))
     if decision.status is Status.BUDGET_EXCEEDED:
@@ -103,19 +107,15 @@ def _accepted(system, text: str, max_nodes: int):
     if not decision.accepted:
         print("rejected")
         return None
-    return w, decision.witness
+    return system, w, decision.witness
 
 
 def cmd_decide(args) -> int:
-    system = _load(args.file)
-    if args.trace and not isinstance(system, NcaSystem):
-        raise _CliError("--trace requires an nca input")
-    accepted = _accepted(system, args.word, args.max_nodes)
+    accepted = _accepted(_load(args.file), args.word, args.max_nodes)
     if accepted is None:
         return EXIT_NEGATIVE
     if args.trace:  # an unwritable trace must not follow a printed verdict
-        h = history_mod.from_moves(system, *accepted)
-        _emit(format_trace(h), args.trace)
+        _emit(format_trace(history_mod.from_moves(*accepted)), args.trace)
     print("accepted")
     return EXIT_OK
 
@@ -146,13 +146,10 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    system = _load(args.file)
-    if not isinstance(system, NcaSystem):
-        raise _CliError("trace requires an nca input")
-    accepted = _accepted(system, args.word, args.max_nodes)
+    accepted = _accepted(_load(args.file), args.word, args.max_nodes)
     if accepted is None:
         return EXIT_NEGATIVE
-    h = history_mod.from_moves(system, *accepted)
+    h = history_mod.from_moves(*accepted)
     if args.canonical:
         h = history_mod.canonicalize(h)
     sys.stdout.write(format_trace(h))
@@ -202,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide membership of a word")
     p.add_argument("file")
     p.add_argument("word", help="whitespace-separated symbols, or _ for the empty word")
-    p.add_argument("--trace", metavar="OUT", help="write a witness trace (nca only)")
+    p.add_argument("--trace", metavar="OUT", help="write a witness trace, as `trace` prints it; "
+                   "a grammar's rule#k indexes its reversed system, start productions first")
     _add_max_nodes(p)
     p.set_defaults(fn=cmd_decide)
 
@@ -237,15 +235,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code else EXIT_OK
     try:
         return args.fn(args)
-    except _CliError as e:
+    except (_CliError, OSError) as e:
         print(e, file=sys.stderr)
         return EXIT_USAGE
     except nca_mod.BudgetExceededError:
         print("budget exceeded", file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as e:
-        print(e, file=sys.stderr)
-        return EXIT_USAGE
     except Exception as e:
         # a crash must not read as an answer: keep the traceback for the
         # report and end with a code that no answer uses (traceback is

@@ -21,12 +21,14 @@ from typing import NamedTuple, Optional
 from .core import Alphabet, Anchor, ValidationError, Word, anchor_ok, occurs_at, splice
 
 ENUMERATION_GUARD = 12
-# the most words one search memo or one enumeration holds; either stops at more
+# the most words one search memo or one enumeration holds, and the most
+# productions one conversion builds; each stops at more
 MAX_MEMO = 10**6
 
 
 class BudgetExceededError(Exception):
-    """Raised when a search passes ``max_nodes``, or a memo or an enumeration :data:`MAX_MEMO`."""
+    """Raised when a search passes ``max_nodes``, or a memo, an enumeration
+    or a conversion :data:`MAX_MEMO`."""
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 
 from .core import Anchor, Symbol, Word
+from . import nca
 from .grammar import Grammar, Production
 from .nca import NcaSystem
 
@@ -31,6 +32,12 @@ def _pins(anchor: Anchor) -> tuple[bool, bool]:
     return anchor in (Anchor.LEFT, Anchor.BOTH), anchor in (Anchor.RIGHT, Anchor.BOTH)
 
 
+def _check_count(productions: int) -> None:
+    """Refuse to build more than :data:`nca.MAX_MEMO` productions."""
+    if productions > nca.MAX_MEMO:
+        raise nca.BudgetExceededError(f"more than {nca.MAX_MEMO} productions")
+
+
 def _fresh_or_die(new_names, existing):
     clash = sorted(set(new_names) & set(existing))
     if clash:
@@ -41,10 +48,13 @@ def eliminate_terminals(g: Grammar) -> Grammar:
     """Language-equal grammar whose production left hand sides contain no
     terminals.  Each terminal gains a tilde-decorated nonterminal twin;
     every rhs terminal occurrence is optionally replaced, so a production
-    with k terminal occurrences on the right becomes 2^k productions."""
+    with k terminal occurrences on the right becomes 2^k productions.
+    More than :data:`nca.MAX_MEMO` of them in all raise
+    :class:`nca.BudgetExceededError` before any is built."""
     terminals = g.terminals
     twins = {x: TILDE + x for x in terminals}
     _fresh_or_die(twins.values(), g.alphabet)
+    _check_count(sum(2 ** sum(s in terminals for s in p.rhs) for p in g.productions))
 
     productions = []
     for p in g.productions:
@@ -72,12 +82,17 @@ def deanchor(g: Grammar) -> Grammar:
     allows: an end the anchor pins must be touched and any other end may
     or may not be, in the order plain, left, right, both.  The carets serve
     only to pin anchored productions, so a grammar with no anchored
-    production is returned terminal-eliminated, without them.
+    production is returned terminal-eliminated, without them.  More than
+    :data:`nca.MAX_MEMO` productions, at either step, raise
+    :class:`nca.BudgetExceededError` before they are built.
     """
     g = eliminate_terminals(g)
     if all(p.anchor is Anchor.NONE for p in g.productions):
         return g
     sigma = g.start
+    # one copy of a start production; of any other, 4, 2 or 1 as its anchor pins 0, 1 or 2 ends
+    _check_count(sum(1 if p.lhs == (sigma,) else 4 >> sum(_pins(p.anchor))
+                     for p in g.productions))
     plain = g.nonterminals - {sigma}
     new_names = [name for n in plain for name in (CARET + n, n + CARET, CARET + n + CARET)]
     _fresh_or_die(new_names, g.alphabet)

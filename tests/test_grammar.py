@@ -47,6 +47,14 @@ class TestValidate:
         with pytest.raises(ValidationError, match="start symbol in rhs"):
             make([Production(word("S"), ()), Production(word("T"), word("a S"))])
 
+    def test_nonterminals_and_terminals_disjoint(self):
+        with pytest.raises(ValidationError, match=r"nonterminals and terminals overlap: \['a'\]"):
+            make([Production(word("S"), word("a b"))], nonterminals="S T a")
+
+    def test_start_only_alone_on_a_lhs(self):
+        with pytest.raises(ValidationError, match="production 1: start symbol inside a longer"):
+            make([Production(word("S"), word("a")), Production(word("S a"), word("a a b"))])
+
     def test_start_production_never_anchored(self):
         p = Production(word("S"), word("a b"), Anchor.LEFT)
         with pytest.raises(ValidationError, match="must not be anchored"):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcsl import history, nca, textio
+from gcsl import grammar, history, nca, textio
 from gcsl.core import Alphabet, Anchor, word
 from gcsl.nca import Move, NcaSystem, Rule
 
@@ -196,6 +196,12 @@ class TestSwap:
         assert g1.intervals == g2.intervals
         assert set(g1.lines) == set(g2.lines)
 
+    @pytest.mark.parametrize("i", [-1, 1])
+    def test_no_adjacent_pair(self, pair_system, i):
+        h = history.from_moves(pair_system, word("a b a b"), [(0, 0), (0, 1)])
+        with pytest.raises(IndexError, match=f"no adjacent pair at {i}"):
+            history.swap_adjacent(h, i)
+
     def test_erased_separator_blocks_swap(self, fg2):
         # bB becomes adjacent only after aA is erased between them
         h = history.from_moves(fg2, word("b a A B"), [(0, 1), (2, 0)])
@@ -321,6 +327,11 @@ class TestReorder:
         assert history.moves_of(r) == [Move(0, 1), Move(0, 3), Move(1, 0)]
         assert swaps == [0]
 
+    def test_no_such_event(self, pair_system):
+        h = history.from_moves(pair_system, word("a b a b"), [(0, 0), (0, 1)])
+        with pytest.raises(IndexError, match="no event 2"):
+            history.reorder_before(h, {2}, {0})
+
     def test_precondition_violated(self, pair_system):
         h = history.from_moves(pair_system, word("a a b b"), [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
@@ -351,6 +362,16 @@ class TestEquivalent:
         h1 = history.from_moves(pair_system, word("a b"), [(0, 0)])
         h2 = history.from_moves(fg2, word("a A"), [(0, 0)])
         assert not history.equivalent(h1, h2)
+
+    @pytest.mark.parametrize("fixture", ["anbn.gcsg", "dyck.gcsg", "left_anchor.egcsg",
+                                         "right_anchor.egcsg", "both_anchor.egcsg"])
+    def test_grammar_witness_on_its_reversed_system(self, fixture):
+        # a grammar's witness indexes the rules of g._backward
+        g = load(fixture)
+        for w in grammar.generate_language(g, 6):
+            h = history.from_moves(g._backward, w, grammar.member(g, w).witness)
+            assert history.words_of(h)[-1] == ()
+            assert history.equivalent(history.canonicalize(h), h)
 
 
 # splitting rules give widths of 3/2 and 7/4; erasing ones widen the

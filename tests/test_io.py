@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gcsl
-from gcsl import cli, history, nca, textio, transforms
-from gcsl.core import Alphabet, Anchor, check_symbol, word
+from gcsl import cli, grammar, history, nca, textio, transforms
+from gcsl.core import Alphabet, Anchor, check_symbol, word, word_str
 from gcsl.grammar import Grammar, Production
 from gcsl.nca import NcaSystem, Rule
 
@@ -75,6 +75,8 @@ class TestParse:
             ("kind: gcsg\nterminals: a\nnonterminals: S\nstart: S\nrules:\n", "expects a 'productions:'", None),
             ("kind: gcsg\nterminals: a\nnonterminals: S\nstart: _\nproductions:\n", "reserved for the empty word", 4),
             ("kind: nca\nterminals: a b\nalphabet: a\nrules:\n", "terminals not in working alphabet", 2),
+            ("kind: nca\nterminals: a\nalphabet: a\nrules: a -> _\n", "'rules:' takes no value", 4),
+            ("kind: nca\nterminals: a\nalphabet: a\nproductions:\n", "kind nca expects a 'rules:' section", None),
         ],
     )
     def test_errors_carry_location(self, text, fragment, line):
@@ -313,15 +315,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and str(out) in captured.err
 
-    def test_decide_trace_on_grammar_is_usage_error(self, tmp_path, capsys):
+    def test_decide_trace_on_grammar(self, tmp_path, capsys):
+        # rule#0 is S -> a b read backwards, as the erase a b -> _ @both
         g = tmp_path / "ab.gcsg"
         g.write_text("kind: gcsg\nterminals: a b\nnonterminals: S\nstart: S\n"
                      "productions:\nS -> a b\n")
         out = tmp_path / "trace.txt"
-        assert cli.main(["decide", str(g), "a b", "--trace", str(out)]) == 2
+        assert cli.main(["decide", str(g), "a b", "--trace", str(out)]) == 0
+        assert capsys.readouterr().out == "accepted\n"
+        assert out.read_text() == "0 | a b | rule#0 @0\n1 | _ |\n"
+
+    def test_decide_outside_the_terminals_is_usage_error(self, capsys):
+        assert cli.main(["decide", fx("fg2.nca"), "x"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "--trace requires an nca input" in captured.err
-        assert not out.exists()
+        assert captured.out == ""
+        assert "input symbols outside terminal alphabet: ['x']" in captured.err
 
     def test_internal_error_exit_code(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -343,10 +351,40 @@ class TestCli:
         assert cli.main(["trace", fx("right_anchor.nca"), "a b", "--canonical"]) == 0
         assert capsys.readouterr().out == "0 | a b | rule#1 @1\n1 | a | rule#0 @0\n2 | _ |\n"
 
+    def test_trace_grammar_canonical(self, capsys):
+        # rule#k indexes the reversed system: rule#1 is a T b -> _ @both
+        # (from S -> a T b), rule#2 is a b -> T (from T -> a b)
+        assert cli.main(["trace", fx("anbn.gcsg"), "a a b b", "--canonical"]) == 0
+        assert capsys.readouterr().out == ("0 | a a b b | rule#2 @1\n1 | a T b | rule#1 @0\n"
+                                           "2 | _ |\n")
+
+    @pytest.mark.parametrize("fixture", ["anbn.gcsg", "dyck.gcsg", "left_anchor.egcsg",
+                                         "right_anchor.egcsg", "both_anchor.egcsg"])
+    def test_trace_every_word_of_a_grammar(self, fixture, capsys):
+        for w in grammar.generate_language(load(fixture), 6):
+            assert cli.main(["trace", fx(fixture), word_str(w)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-1] == f"{len(lines) - 1} | _ |"
+
+    def test_trace_rejected(self, capsys):
+        assert cli.main(["trace", fx("fg2.nca"), "a b"]) == 1
+        assert capsys.readouterr().out == "rejected\n"
+
     def test_trace_diagram(self, capsys):
         assert cli.main(["trace", fx("xanchor.nca"), "x", "--diagram"]) == 0
         out = capsys.readouterr().out
         assert "row 0: x[0,1)" in out and "row 1: _" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", fx("anbn.gcsg")],
+        ["equiv", fx("fg2.nca"), fx("fg1.nca")],
+    ])
+    def test_max_len_above_the_enumeration_guard_is_usage_error(self, argv, capsys):
+        assert nca.ENUMERATION_GUARD == 12
+        assert cli.main([*argv, "--max-len", "13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_len 13 exceeds enumeration guard 12" in captured.err
 
     def test_enumerate_shortlex(self, capsys):
         assert cli.main(["enumerate", fx("anbn.gcsg"), "--max-len", "4"]) == 0
@@ -363,6 +401,13 @@ class TestCli:
             ["equiv", fx("xanchor.nca"), fx("xfree.nca"), "--max-len", "4"]
         ) == 1
         assert "x x" in capsys.readouterr().out
+
+    def test_convert_to_nca_needs_the_empty_word(self, tmp_path, capsys):
+        out = tmp_path / "both_anchor.nca"
+        assert cli.main(["convert", "--to", "nca", fx("both_anchor.egcsg"), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "start -> empty word production" in captured.err
+        assert not out.exists()
 
     def test_convert_type_mismatch(self, capsys):
         assert cli.main(["convert", "--to", "nca", fx("fg2.nca")]) == 2

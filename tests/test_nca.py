@@ -432,6 +432,22 @@ class TestMemoCap:
         out, err = capsys.readouterr()
         assert out == "" and "budget exceeded" in err
 
+    def test_conversion_raises(self, fg2):
+        with pytest.raises(nca.BudgetExceededError, match="more than 5 productions"):
+            transforms.nca_to_gcsg(fg2)
+
+    @pytest.mark.parametrize("to, fixture", [("gcsg", "fg2.nca"), ("noterm", "anbn.gcsg")])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_cli_convert_exits_3(self, to, fixture, to_file, tmp_path, capsys):
+        out = tmp_path / "converted"
+        argv = ["convert", "--to", to, str(FIXTURES / fixture)]
+        if to_file:
+            argv += ["-o", str(out)]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "budget exceeded" in captured.err
+        assert not out.exists()
+
 
 class TestEnumerate:
     def test_x_anchor_language(self, xanchor):

@@ -55,6 +55,21 @@ class TestEliminateTerminals:
         g2 = transforms.eliminate_terminals(anbn_grammar)
         assert grammar.generate_language(g2, 6) == grammar.generate_language(anbn_grammar, 6)
 
+    def test_twin_name_collision_refused(self):
+        g = grammar_of([Production(word("S"), word("a b"))], nonterminals="S ~a")
+        with pytest.raises(ValueError, match=r"collide with existing symbols: \['~a'\]"):
+            transforms.eliminate_terminals(g)
+
+    def test_productions_bounded_by_max_memo(self, anbn_grammar, monkeypatch):
+        # counted before they are built: 2^k copies of a production with
+        # k terminals on its right-hand side
+        built = len(transforms.eliminate_terminals(anbn_grammar).productions)
+        monkeypatch.setattr(nca, "MAX_MEMO", built)
+        transforms.eliminate_terminals(anbn_grammar)
+        monkeypatch.setattr(nca, "MAX_MEMO", built - 1)
+        with pytest.raises(nca.BudgetExceededError, match=f"more than {built - 1} productions"):
+            transforms.eliminate_terminals(anbn_grammar)
+
 
 class TestDeanchor:
     @pytest.mark.parametrize(
@@ -107,6 +122,18 @@ class TestDeanchor:
         assert sg.productions[0] == Production(word("S"), word("^A^"))
         assert tuple(p for p in sg.productions if p.lhs[0].strip("^") == "A") == tuple(
             Production(word(u), word(v)) for u, v in copies)
+
+    def test_copies_bounded_by_max_memo(self, monkeypatch):
+        # 1, 2 or 4 copies of a production, counted before they are built
+        g = load("left_anchor.egcsg")
+        built = len(transforms.deanchor(g).productions)
+        assert built == 18
+        monkeypatch.setattr(nca, "MAX_MEMO", built)
+        transforms.deanchor(g)
+        monkeypatch.setattr(nca, "MAX_MEMO", built - 1)
+        transforms.eliminate_terminals(g)  # its 8 productions are within the cap
+        with pytest.raises(nca.BudgetExceededError, match=f"more than {built - 1} productions"):
+            transforms.deanchor(g)
 
     def test_symbol_accounting(self):
         eg = load("left_anchor.egcsg")
@@ -226,6 +253,20 @@ class TestNcaToGcsg:
         )
         eg = transforms.nca_to_extended_gcsg(sys)
         assert eg.start not in sys.alphabet.working
+
+    def test_fresh_start_symbol_skips_taken_numbers(self):
+        letters = frozenset(["S", "S0", "a"])
+        sys = NcaSystem(Alphabet(letters, letters),
+                        (Rule(word("S S0"), ()), Rule(word("a a"), word("S"))))
+        g = transforms.nca_to_gcsg(sys)
+        assert g.start == "S1"
+        assert textio.first_difference(sys, g, 6) is None
+
+    def test_erasing_rule_beyond_max_memo_refused_at_once(self):
+        # a -> a^20 alone would have 2^20 terminal-eliminated copies
+        sys = NcaSystem(Alphabet(frozenset("a"), frozenset("a")), (Rule(("a",) * 19, ()),))
+        with pytest.raises(nca.BudgetExceededError, match="more than 1000000 productions"):
+            transforms.nca_to_gcsg(sys)
 
 
 def has_carets(g):
