@@ -191,7 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("convert", help="convert between system kinds")
-    p.add_argument("--to", required=True, choices=sorted(_CONVERSIONS))
+    p.add_argument("--to", required=True, choices=sorted(_CONVERSIONS),
+                   help="gcsg: a system to a standard grammar; nca: a grammar to a system; "
+                        "standard: compile a grammar's anchors away, returning a grammar "
+                        "with none unchanged; noterm: take terminals off left-hand sides")
     p.add_argument("file")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_convert)

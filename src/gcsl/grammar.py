@@ -65,8 +65,8 @@ class Grammar:
 
 def _validate(g: Grammar) -> list[str]:
     """All invariant violations; empty means a valid growing grammar.
-    Conversions build grammars of hundreds of productions, so the loop over
-    them stays tight."""
+    A conversion may build up to :data:`gcsl.nca.MAX_MEMO` productions, so
+    the loop over them stays tight."""
     v = []
     alphabet = g.alphabet
     for name in sorted(alphabet | {g.start}, key=repr):

@@ -390,8 +390,10 @@ def enumerate_language(sys: NcaSystem, max_len: int) -> set[Word]:
             _ends(index.by_len, w, moves)
             rules = index.rules
             children = [w[:p] + rules[i].rhs + w[p + len(rules[i].lhs):] for i, p in moves]
+            # an anchored insert can only land at an end of the word
             children += [w[:p] + u + w[p:] for u, anchor in inserts
-                         for p in range(n + 1) if anchor_ok(anchor, p, grow, m)]
+                         for p in (range(n + 1) if anchor is Anchor.NONE else {0, n})
+                         if anchor_ok(anchor, p, grow, m)]
             for child in children:
                 if child not in seen:
                     if len(seen) >= MAX_MEMO:

@@ -7,7 +7,8 @@ Four language-preserving constructions:
 * :func:`deanchor` — compile anchored productions away: one marking
   function carets the nonterminals at the word ends, and each production
   is copied once for each end context its anchor allows; a grammar with
-  no anchored production is only terminal-eliminated.
+  no anchored production is returned unchanged, terminals on its left
+  hand sides and all.
 * :func:`gcsg_to_nca` — reverse a growing grammar, anchored or not, into
   a length-reducing system with both-anchored erasing rules.
 * :func:`nca_to_gcsg` — reverse a rewriting system into an (extended,
@@ -73,22 +74,22 @@ def eliminate_terminals(g: Grammar) -> Grammar:
 def deanchor(g: Grammar) -> Grammar:
     """Compile an extended grammar into a language-equal standard one.
 
-    After terminal elimination, carets make the word ends visible: a plain
-    nonterminal ``X`` that touches the left end is written ``^X``, one
-    that touches the right end ``X^``, and a one-symbol word at both ends
-    ``^X^``.  One marking function applies this to both sides of a
-    production.  Each start production is marked at both ends.  Every
-    other production is issued once for each end context its anchor
-    allows: an end the anchor pins must be touched and any other end may
-    or may not be, in the order plain, left, right, both.  The carets serve
-    only to pin anchored productions, so a grammar with no anchored
-    production is returned terminal-eliminated, without them.  More than
+    A grammar with no anchored production is already standard, terminals on
+    its left hand sides and all, and is returned as it is.  Otherwise carets
+    make the word ends visible.  A terminal cannot carry one, so terminals
+    are first eliminated.  Then a plain nonterminal ``X`` that touches the
+    left end is written ``^X``, one that touches the right end ``X^``, and a
+    one-symbol word at both ends ``^X^``.  One marking function applies this
+    to both sides of a production.  Each start production is marked at both
+    ends.  Every other production is issued once for each end context its
+    anchor allows: an end the anchor pins must be touched and any other end
+    may or may not be, in the order plain, left, right, both.  More than
     :data:`nca.MAX_MEMO` productions, at either step, raise
     :class:`nca.BudgetExceededError` before they are built.
     """
-    g = eliminate_terminals(g)
     if all(p.anchor is Anchor.NONE for p in g.productions):
         return g
+    g = eliminate_terminals(g)
     sigma = g.start
     # one copy of a start production; of any other, 4, 2 or 1 as its anchor pins 0, 1 or 2 ends
     _check_count(sum(1 if p.lhs == (sigma,) else 4 >> sum(_pins(p.anchor))
@@ -177,7 +178,8 @@ def nca_to_extended_gcsg(sys: NcaSystem) -> Grammar:
 
 def nca_to_gcsg(sys: NcaSystem) -> Grammar:
     """Full system-to-grammar conversion: the extended intermediate,
-    de-anchored into a standard growing grammar."""
+    de-anchored into a standard growing grammar.  A system whose extended
+    grammar has no anchored production converts to that grammar as it is."""
     return deanchor(nca_to_extended_gcsg(sys))
 
 

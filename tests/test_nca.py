@@ -432,11 +432,13 @@ class TestMemoCap:
         out, err = capsys.readouterr()
         assert out == "" and "budget exceeded" in err
 
-    def test_conversion_raises(self, fg2):
+    def test_conversion_raises(self):
+        # an anchored system: an unanchored one converts to its extended grammar
         with pytest.raises(nca.BudgetExceededError, match="more than 5 productions"):
-            transforms.nca_to_gcsg(fg2)
+            transforms.nca_to_gcsg(load("right_anchor.nca"))
 
-    @pytest.mark.parametrize("to, fixture", [("gcsg", "fg2.nca"), ("noterm", "anbn.gcsg")])
+    @pytest.mark.parametrize("to, fixture",
+                             [("gcsg", "right_anchor.nca"), ("noterm", "anbn.gcsg")])
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
     def test_cli_convert_exits_3(self, to, fixture, to_file, tmp_path, capsys):
         out = tmp_path / "converted"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,7 @@ from gcsl.core import Alphabet, Anchor, word
 from gcsl.grammar import Grammar, Production
 from gcsl.nca import NcaSystem, Rule
 
-from conftest import load, shortening_rules
+from conftest import FIXTURES, load, shortening_rules
 
 
 def grammar_of(productions, terminals="a b", nonterminals="S T", start="S"):
@@ -96,9 +98,10 @@ class TestDeanchor:
         sg = transforms.deanchor(anbn_grammar)
         assert grammar.generate_language(sg, 6) == grammar.generate_language(anbn_grammar, 6)
 
-    def test_unanchored_grammar_is_only_terminal_eliminated(self, anbn_grammar, fg2):
+    def test_unanchored_grammar_is_returned_unchanged(self, anbn_grammar, fg2):
+        # terminals stay on left-hand sides: no tilde twins, no carets
         for g in (anbn_grammar, transforms.nca_to_extended_gcsg(fg2)):
-            assert transforms.deanchor(g) == transforms.eliminate_terminals(g)
+            assert transforms.deanchor(g) is g
 
     def test_nca_derived_grammar(self, xanchor):
         eg = transforms.nca_to_extended_gcsg(xanchor)
@@ -263,8 +266,9 @@ class TestNcaToGcsg:
         assert textio.first_difference(sys, g, 6) is None
 
     def test_erasing_rule_beyond_max_memo_refused_at_once(self):
-        # a -> a^20 alone would have 2^20 terminal-eliminated copies
-        sys = NcaSystem(Alphabet(frozenset("a"), frozenset("a")), (Rule(("a",) * 19, ()),))
+        # a -> a^20 @left alone would have 2^20 terminal-eliminated copies
+        sys = NcaSystem(Alphabet(frozenset("a"), frozenset("a")),
+                        (Rule(("a",) * 19, (), Anchor.LEFT),))
         with pytest.raises(nca.BudgetExceededError, match="more than 1000000 productions"):
             transforms.nca_to_gcsg(sys)
 
@@ -275,11 +279,12 @@ def has_carets(g):
 
 class TestUnanchoredConversion:
     """A system whose extended grammar has no anchored production converts
-    without the caret families, which only pin anchored productions."""
+    to that grammar: no tilde twins and no caret families, which only pin
+    anchored productions."""
 
     @pytest.mark.parametrize("name, productions, carets", [
-        ("fg2.nca", 241, False), ("s3.nca", 147, False), ("fg1.nca", 57, False),
-        ("anbn.nca", 17, False), ("right_anchor.nca", 69, True),
+        ("fg2.nca", 33, False), ("s3.nca", 38, False), ("fg1.nca", 9, False),
+        ("anbn.nca", 5, False), ("right_anchor.nca", 69, True),
     ])
     def test_sizes_and_carets(self, name, productions, carets):
         sg = transforms.nca_to_gcsg(load(name))
@@ -301,9 +306,24 @@ class TestUnanchoredConversion:
         sys = NcaSystem(Alphabet(frozenset("ab"), frozenset("abT")), rules)
         sg = transforms.nca_to_gcsg(sys)
         assert textio.first_difference(sys, sg, max_len) is None
-        anchored = any(p.anchor is not Anchor.NONE
-                       for p in transforms.nca_to_extended_gcsg(sys).productions)
+        eg = transforms.nca_to_extended_gcsg(sys)
+        anchored = any(p.anchor is not Anchor.NONE for p in eg.productions)
         assert has_carets(sg) is anchored
+        if not anchored:
+            assert sg == eg
+            assert not any(s.startswith(transforms.TILDE) or transforms.CARET in s
+                           for s in sg.alphabet)
+
+    @pytest.mark.parametrize("name", sorted(f.name for f in FIXTURES.glob("*.nca")))
+    def test_member_agrees_with_decide(self, name):
+        # every terminal word of up to 5 letters, 4 on the six-letter s3
+        max_len = 4 if name == "s3.nca" else 5
+        sys = load(name)
+        sg = transforms.nca_to_gcsg(sys)
+        letters = sorted(sys.alphabet.terminals)
+        for n in range(max_len + 1):
+            for w in itertools.product(letters, repeat=n):
+                assert grammar.member(sg, w).status is nca.decide(sys, w).status, w
 
 
 def test_decorated_symbols_report_unreachable():
