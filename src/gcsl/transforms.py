@@ -4,11 +4,11 @@ Four language-preserving constructions:
 
 * :func:`eliminate_terminals` — rewrite a grammar so that no terminal
   occurs in any production lhs, by doubling terminals with tilde twins.
-* :func:`deanchor` — compile anchored productions away: one marking
-  function carets the nonterminals at the word ends, and each production
-  is copied once for each end context its anchor allows; a grammar with
-  no anchored production is returned unchanged, terminals on its left
-  hand sides and all.
+* :func:`deanchor` — compile anchored productions away in one pass: one
+  marking function carets every symbol but the start at the word ends, and
+  each production is copied once for each end context its anchor allows; a
+  grammar with no anchored production is returned unchanged, terminals on
+  its left hand sides and all.
 * :func:`gcsg_to_nca` — reverse a growing grammar, anchored or not, into
   a length-reducing system with both-anchored erasing rules.
 * :func:`nca_to_gcsg` — reverse a rewriting system into an (extended,
@@ -76,25 +76,22 @@ def deanchor(g: Grammar) -> Grammar:
 
     A grammar with no anchored production is already standard, terminals on
     its left hand sides and all, and is returned as it is.  Otherwise carets
-    make the word ends visible.  A terminal cannot carry one, so terminals
-    are first eliminated.  Then a plain nonterminal ``X`` that touches the
-    left end is written ``^X``, one that touches the right end ``X^``, and a
-    one-symbol word at both ends ``^X^``.  One marking function applies this
-    to both sides of a production.  Each start production is marked at both
-    ends.  Every other production is issued once for each end context its
-    anchor allows: an end the anchor pins must be touched and any other end
-    may or may not be, in the order plain, left, right, both.  More than
-    :data:`nca.MAX_MEMO` productions, at either step, raise
-    :class:`nca.BudgetExceededError` before they are built.
+    make the word ends visible: a symbol other than the start, terminal or
+    not, is written ``^X`` at the left end, ``X^`` at the right end and
+    ``^X^`` as a one-symbol word, by one marking function for both sides.
+    Each production, a start production as if anchored at both ends, is
+    issued once for each end context its anchor allows (a pinned end is
+    touched, any other may or may not be; in the order plain, left, right,
+    both), and a terminal at a touched end of the right hand side is issued
+    marked, then plain: final, for when no later step rewrites that end.
+    Middle symbols are never marked, since every production replaces its
+    window by a non-empty word.  At most 16 copies of a production; more than
+    :data:`nca.MAX_MEMO` in all raise :class:`nca.BudgetExceededError`.
     """
     if all(p.anchor is Anchor.NONE for p in g.productions):
         return g
-    g = eliminate_terminals(g)
     sigma = g.start
-    # one copy of a start production; of any other, 4, 2 or 1 as its anchor pins 0, 1 or 2 ends
-    _check_count(sum(1 if p.lhs == (sigma,) else 4 >> sum(_pins(p.anchor))
-                     for p in g.productions))
-    plain = g.nonterminals - {sigma}
+    plain = g.alphabet - {sigma}
     new_names = [name for n in plain for name in (CARET + n, n + CARET, CARET + n + CARET)]
     _fresh_or_die(new_names, g.alphabet)
 
@@ -104,17 +101,20 @@ def deanchor(g: Grammar) -> Grammar:
         return tuple(CARET * (left and i == 0) + s + CARET * (right and i == last)
                      if s in plain else s for i, s in enumerate(w))
 
-    sigma_lhs = (sigma,)
+    def ends(pinned: bool, end: Word) -> list[tuple[bool, bool]]:
+        # (touched, marked) for one end: untouched unless pinned, touched and
+        # marked, and touched but plain when the rhs has a terminal there
+        return ([] if pinned else [(False, False)]) + [(True, True)] + (
+            [(True, False)] if end and end[0] in g.terminals else [])
+
     productions = []
     for p in g.productions:
         u, v = p.lhs, p.rhs
-        if u == sigma_lhs:
-            productions.append(Production(u, mark(v, True, True)))
-            continue
-        pin_left, pin_right = _pins(p.anchor)
-        for right in (True,) if pin_right else (False, True):
-            for left in (True,) if pin_left else (False, True):
-                productions.append(Production(mark(u, left, right), mark(v, left, right)))
+        pin_left, pin_right = _pins(Anchor.BOTH if u == (sigma,) else p.anchor)
+        for (right, v_right), (left, v_left) in itertools.product(
+                ends(pin_right, v[-1:]), ends(pin_left, v[:1])):
+            productions.append(Production(mark(u, left, right), mark(v, v_left, v_right)))
+    _check_count(len(productions))
     return Grammar(
         nonterminals=g.nonterminals | frozenset(new_names),
         terminals=g.terminals,

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,23 @@ def grammar_of(productions, terminals="a b", nonterminals="S T", start="S"):
         start=start,
         productions=tuple(productions),
     )
+
+
+SYMBOLS = st.sampled_from("XYab")
+START_PRODUCTIONS = st.lists(SYMBOLS, max_size=3).map(lambda v: Production(("S",), tuple(v)))
+
+
+@st.composite
+def growing_productions(draw):
+    """u -> v over X Y a b, with u of 1-2 symbols, v one or two longer, and
+    any anchor, so terminals reach both ends of both sides."""
+    lhs = tuple(draw(st.lists(SYMBOLS, min_size=1, max_size=2)))
+    rhs = tuple(draw(st.lists(SYMBOLS, min_size=len(lhs) + 1, max_size=len(lhs) + 2)))
+    return Production(lhs, rhs, draw(st.sampled_from(list(Anchor))))
+
+
+def unmark(w):
+    return tuple(s.strip(transforms.CARET) for s in w)
 
 
 class TestEliminateTerminals:
@@ -90,7 +108,7 @@ class TestDeanchor:
         )
         sg = transforms.deanchor(g)
         pairs = {(p.lhs, p.rhs) for p in sg.productions}
-        # first rhs symbol is a terminal, so the caret marks vanish on the right
+        # both rhs ends are terminals, so each touched end is also issued plain
         assert (("^A",), ("a", "b")) in pairs
         assert (("^A^",), ("a", "b")) in pairs
 
@@ -127,14 +145,13 @@ class TestDeanchor:
             Production(word(u), word(v)) for u, v in copies)
 
     def test_copies_bounded_by_max_memo(self, monkeypatch):
-        # 1, 2 or 4 copies of a production, counted before they are built
+        # at most 16 copies of a production, counted once, after the pass
         g = load("left_anchor.egcsg")
         built = len(transforms.deanchor(g).productions)
-        assert built == 18
+        assert built == 14
         monkeypatch.setattr(nca, "MAX_MEMO", built)
         transforms.deanchor(g)
         monkeypatch.setattr(nca, "MAX_MEMO", built - 1)
-        transforms.eliminate_terminals(g)  # its 8 productions are within the cap
         with pytest.raises(nca.BudgetExceededError, match=f"more than {built - 1} productions"):
             transforms.deanchor(g)
 
@@ -142,8 +159,22 @@ class TestDeanchor:
         eg = load("left_anchor.egcsg")
         sg = transforms.deanchor(eg)
         n_in, x_in = len(eg.nonterminals), len(eg.terminals)
-        # tilde twins for the terminals, then three caret families
+        # three caret families over every symbol but the start
         assert len(sg.nonterminals) <= 4 * (n_in + x_in)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(START_PRODUCTIONS, min_size=1, max_size=2),
+           st.lists(growing_productions(), min_size=1, max_size=4))
+    def test_random_anchored_grammars(self, starts, others):
+        g = grammar_of(starts + others, nonterminals="S X Y")
+        sg = transforms.deanchor(g)
+        assert textio.first_difference(g, sg, 5) is None
+        assert all(p.anchor is Anchor.NONE for p in sg.productions)
+        assert not any(s.startswith(transforms.TILDE) for s in sg.alphabet)
+        # every copy unmarks to an input production, at most 16 copies of each
+        inputs = Counter((p.lhs, p.rhs) for p in g.productions)
+        copies = Counter((unmark(p.lhs), unmark(p.rhs)) for p in sg.productions)
+        assert all(n <= 16 * inputs[k] for k, n in copies.items())
 
 
 class TestGcsgToNca:
@@ -266,11 +297,20 @@ class TestNcaToGcsg:
         assert textio.first_difference(sys, g, 6) is None
 
     def test_erasing_rule_beyond_max_memo_refused_at_once(self):
-        # a -> a^20 @left alone would have 2^20 terminal-eliminated copies
-        sys = NcaSystem(Alphabet(frozenset("a"), frozenset("a")),
-                        (Rule(("a",) * 19, (), Anchor.LEFT),))
+        # an n-letter erasing rule converts to the same few copies for any n,
+        # where eliminating terminals first made 2^n of them
+        sizes = set()
+        for n, anchor in itertools.product((18, 40), (Anchor.LEFT, Anchor.RIGHT)):
+            sys = NcaSystem(Alphabet(frozenset("a"), frozenset("a")),
+                            (Rule(("a",) * n, (), anchor),))
+            g = transforms.nca_to_gcsg(sys)
+            sizes.add(len(g.productions))
+            assert textio.first_difference(sys, g, 12) is None
+        assert len(sizes) == 1 and sizes.pop() <= 16
+        # eliminate_terminals of S -> a^20 would build 2^20 copies: refused at once
+        g = grammar_of([Production(word("S"), ("a",) * 20)])
         with pytest.raises(nca.BudgetExceededError, match="more than 1000000 productions"):
-            transforms.nca_to_gcsg(sys)
+            transforms.eliminate_terminals(g)
 
 
 def has_carets(g):
@@ -284,7 +324,7 @@ class TestUnanchoredConversion:
 
     @pytest.mark.parametrize("name, productions, carets", [
         ("fg2.nca", 33, False), ("s3.nca", 38, False), ("fg1.nca", 9, False),
-        ("anbn.nca", 5, False), ("right_anchor.nca", 69, True),
+        ("anbn.nca", 5, False), ("right_anchor.nca", 48, True),
     ])
     def test_sizes_and_carets(self, name, productions, carets):
         sg = transforms.nca_to_gcsg(load(name))
@@ -331,6 +371,6 @@ def test_decorated_symbols_report_unreachable():
     reachable = transforms.reachable_symbols(sg)
     assert {"a", "b"} <= reachable
     # the caret families exist but this grammar never rewrites some of them
-    assert sorted(sg.alphabet - reachable) == ["L^", "^L^", "^~a^", "^~b", "^~b^", "~a^", "~b"]
+    assert sorted(sg.alphabet - reachable) == ["L^", "^L^", "^a^", "^b", "^b^", "a^"]
     # an anchored system still converts with carets
     assert has_carets(transforms.nca_to_gcsg(load("right_anchor.nca")))
