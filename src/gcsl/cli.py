@@ -1,8 +1,8 @@
 """Command line interface.
 
-``trace`` and ``decide --trace`` take systems and grammars.  For a grammar,
-``rule#k`` indexes its reversed system: each start production ``S -> v`` as
-``v -> _ @both``, then the other productions reversed, in file order.
+``trace`` and ``decide --trace`` take systems and grammars.  A grammar's
+``rule#k`` is the k-th rule that ``convert --to nca`` writes, when ``S -> _``
+is a production: each ``S -> v`` as ``v -> _ @both``, then the rest reversed.
 
 Exit codes: 0 success / accepted / languages equal, 1 rejected / unequal,
 2 usage or parse error, 3 budget exceeded (search nodes, or ``nca.MAX_MEMO``

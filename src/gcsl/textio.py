@@ -2,7 +2,7 @@
 diagram rendering and the language-comparison oracle used by ``equiv``.
 
 Format (``#`` starts a comment, symbols are whitespace-separated,
-``_`` is the empty word)::
+``_`` is the empty word, rule lines keep the system's order)::
 
     kind: nca                     kind: gcsg   # egcsg if a production is anchored
     terminals: a b                terminals: a b
@@ -163,17 +163,16 @@ def _rule_line(lhs, rhs, anchor) -> str:
 
 
 def serialize_system(sys) -> str:
-    """Canonical text: sorted symbol sections, sorted rule lines.  A
-    grammar's kind is ``egcsg`` exactly when one of its productions is
-    anchored, and ``gcsg`` otherwise.  Reparsing yields an equal system up
-    to rule order."""
+    """Text of a system: sorted symbol sections, rule lines in the system's
+    order, and kind ``egcsg`` exactly when a production is anchored.
+    Reparsing yields an equal system, rule order included."""
     lines = []
     if isinstance(sys, NcaSystem):
         lines.append("kind: nca")
         lines.append("terminals: " + word_str(tuple(sorted(sys.alphabet.terminals))))
         lines.append("alphabet: " + word_str(tuple(sorted(sys.alphabet.working))))
         lines.append("rules:")
-        lines.extend(sorted(_rule_line(r.lhs, r.rhs, r.anchor) for r in sys.rules))
+        lines.extend(_rule_line(r.lhs, r.rhs, r.anchor) for r in sys.rules)
     elif isinstance(sys, Grammar):
         anchored = any(p.anchor is not Anchor.NONE for p in sys.productions)
         lines.append("kind: " + ("egcsg" if anchored else "gcsg"))
@@ -181,7 +180,7 @@ def serialize_system(sys) -> str:
         lines.append("nonterminals: " + word_str(tuple(sorted(sys.nonterminals))))
         lines.append("start: " + sys.start)
         lines.append("productions:")
-        lines.extend(sorted(_rule_line(p.lhs, p.rhs, p.anchor) for p in sys.productions))
+        lines.extend(_rule_line(p.lhs, p.rhs, p.anchor) for p in sys.productions)
     else:
         raise TypeError(f"cannot serialize {type(sys).__name__}")
     return "\n".join(lines) + "\n"

@@ -86,7 +86,7 @@ def deanchor(g: Grammar) -> Grammar:
     marked, then plain: final, for when no later step rewrites that end.
     Middle symbols are never marked, since every production replaces its
     window by a non-empty word.  At most 16 copies of a production; more than
-    :data:`nca.MAX_MEMO` in all raise :class:`nca.BudgetExceededError`.
+    :data:`nca.MAX_MEMO` distinct ones raise :class:`nca.BudgetExceededError`.
     """
     if all(p.anchor is Anchor.NONE for p in g.productions):
         return g
@@ -114,12 +114,13 @@ def deanchor(g: Grammar) -> Grammar:
         for (right, v_right), (left, v_left) in itertools.product(
                 ends(pin_right, v[-1:]), ends(pin_left, v[:1])):
             productions.append(Production(mark(u, left, right), mark(v, v_left, v_right)))
+    productions = tuple(dict.fromkeys(productions))  # count what Grammar keeps
     _check_count(len(productions))
     return Grammar(
         nonterminals=g.nonterminals | frozenset(new_names),
         terminals=g.terminals,
         start=sigma,
-        productions=tuple(productions),
+        productions=productions,
     )
 
 

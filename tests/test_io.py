@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,24 +144,21 @@ def test_one_error_for_every_way_in(kind, tmp_path, capsys):
     assert captured.err == f"{p}: {'; '.join(violations)}\n"
 
 
+def _with_conversions(system):
+    """``system`` and the systems each conversion that accepts it builds."""
+    if isinstance(system, NcaSystem):
+        return [system, transforms.nca_to_gcsg(system)]
+    converted = [system, transforms.deanchor(system), transforms.eliminate_terminals(system)]
+    if Production((system.start,), ()) in system.productions:
+        converted.append(transforms.gcsg_to_nca(system))
+    return converted
+
+
 class TestSerialize:
-    @pytest.mark.parametrize(
-        "fixture",
-        ["fg2.nca", "anbn.nca", "xanchor.nca", "anbn.gcsg", "dyck.gcsg",
-         "left_anchor.egcsg", "both_anchor.egcsg"],
-    )
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.iterdir()))
     def test_round_trip(self, fixture):
-        sys = load(fixture)
-        text = textio.serialize_system(sys)
-        again = textio.parse_system(text)
-        if isinstance(sys, NcaSystem):
-            assert set(again.rules) == set(sys.rules)
-            assert again.alphabet == sys.alphabet
-        else:
-            assert set(again.productions) == set(sys.productions)
-            assert (again.nonterminals, again.terminals, again.start) == (
-                sys.nonterminals, sys.terminals, sys.start
-            )
+        for system in _with_conversions(load(fixture)):
+            assert textio.parse_system(textio.serialize_system(system)) == system
 
     @pytest.mark.parametrize("anchor, kind", [(Anchor.NONE, "gcsg"), (Anchor.LEFT, "egcsg")])
     def test_kind_follows_the_anchors(self, anchor, kind):
@@ -164,7 +166,7 @@ class TestSerialize:
                     (Production(word("S"), word("T b")), Production(word("T"), word("a b"), anchor)))
         text = textio.serialize_system(g)
         assert text.splitlines()[0] == f"kind: {kind}"
-        assert set(textio.parse_system(text).productions) == set(g.productions)
+        assert textio.parse_system(text) == g
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -180,16 +182,19 @@ class TestSerialize:
             rhs = data.draw(st.lists(symbol, max_size=len(lhs) - 1))
             rules.append(Rule(lhs, rhs, data.draw(st.sampled_from(list(Anchor)))))
         sys = NcaSystem(Alphabet(terminals, frozenset(letters)), tuple(rules))
-        again = textio.parse_system(textio.serialize_system(sys))
-        assert (again.alphabet, set(again.rules)) == (sys.alphabet, set(sys.rules))
-        g = transforms.nca_to_gcsg(sys)
-        again = textio.parse_system(textio.serialize_system(g))
-        assert (again.nonterminals, again.terminals, again.start, set(again.productions)) == (
-            g.nonterminals, g.terminals, g.start, set(g.productions))
+        extended = transforms.nca_to_extended_gcsg(sys)
+        for x in (sys, extended, transforms.deanchor(extended)):
+            assert textio.parse_system(textio.serialize_system(x)) == x
 
-    def test_canonical_is_stable(self, fg2):
-        shuffled = NcaSystem(fg2.alphabet, tuple(reversed(fg2.rules)))
-        assert textio.serialize_system(shuffled) == textio.serialize_system(fg2)
+    def test_rule_order_is_kept(self, fg2):
+        def rule_lines(text):
+            lines = text.splitlines()
+            return lines[lines.index("rules:") + 1:]
+
+        backwards = NcaSystem(fg2.alphabet, tuple(reversed(fg2.rules)))
+        text = textio.serialize_system(backwards)
+        assert rule_lines(text) == rule_lines(textio.serialize_system(fg2))[::-1]
+        assert textio.parse_system(text) == backwards
 
     def test_anchor_suffix(self, xanchor):
         assert "x -> _ @both" in textio.serialize_system(xanchor)
@@ -446,3 +451,28 @@ class TestCli:
         text = capsys.readouterr().out
         g = textio.parse_system(text)
         assert isinstance(g, Grammar) and text.startswith("kind: gcsg\n")
+
+    def test_trace_of_a_grammar_numbers_rules_as_convert_writes_them(self, tmp_path, capsys):
+        converted = tmp_path / "anbn.nca"
+        assert cli.main(["convert", "--to", "nca", fx("anbn.gcsg"), "-o", str(converted)]) == 0
+        assert cli.main(["trace", fx("anbn.gcsg"), "a b"]) == 0
+        grammar_trace = capsys.readouterr().out
+        assert cli.main(["trace", str(converted), "a b"]) == 0
+        assert capsys.readouterr().out == grammar_trace == "0 | a b | rule#0 @0\n1 | _ |\n"
+
+    @pytest.mark.parametrize("fixture, to", [
+        ("s3.nca", "gcsg"), ("right_anchor.nca", "gcsg"),
+        ("left_anchor.egcsg", "standard"), ("anbn.gcsg", "noterm"),
+    ])
+    def test_convert_output_does_not_depend_on_the_hash_seed(self, fixture, to):
+        # rule lines follow construction order, so a construction that
+        # iterated a set unsorted would show here
+        src = str(Path(gcsl.__file__).resolve().parents[1])
+
+        def convert(seed):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            return subprocess.run([sys.executable, "-m", "gcsl.cli", "convert", "--to", to, fx(fixture)],
+                                  env=env, capture_output=True, check=True).stdout
+
+        assert convert("0") == convert("1")

@@ -155,6 +155,17 @@ class TestDeanchor:
         with pytest.raises(nca.BudgetExceededError, match=f"more than {built - 1} productions"):
             transforms.deanchor(g)
 
+    def test_duplicate_copies_count_once(self, monkeypatch):
+        # A -> a b and A -> a b @left share their left-pinned copies
+        g = grammar_of([Production(word("S"), word("A")), Production(word("A"), word("a b")),
+                        Production(word("A"), word("a b"), Anchor.LEFT)], nonterminals="S A")
+        assert len(transforms.deanchor(g).productions) == 10
+        monkeypatch.setattr(nca, "MAX_MEMO", 10)
+        transforms.deanchor(g)
+        monkeypatch.setattr(nca, "MAX_MEMO", 9)
+        with pytest.raises(nca.BudgetExceededError, match="more than 9 productions"):
+            transforms.deanchor(g)
+
     def test_symbol_accounting(self):
         eg = load("left_anchor.egcsg")
         sg = transforms.deanchor(eg)
