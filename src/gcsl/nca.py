@@ -4,17 +4,21 @@ optionally anchored rewriting systems, and the exhaustive decision engine.
 A system accepts a terminal word iff some sequence of rule applications
 reduces it to the empty word.  Every rule strictly shortens the word, so
 depth-first search with a memo set of dead words is exhaustive and
-terminates.  :func:`decide` first makes one deterministic left-to-right
-pass, Goodman and Shapiro's Cannon's algorithm, which accepts many words
-in linear time; the search decides whatever the pass leaves.  Read
-right to left, the rules generate the accepted words from the empty word:
-:func:`enumerate_language` computes that closure, for grammars too.
+terminates.  :func:`decide` tries four steps in order: a shared memo of
+dead words; one deterministic left-to-right pass, Goodman and Shapiro's
+Cannon's algorithm, which accepts many words in linear time; a test that
+rejects a word whose letter counts lie outside the lattice the rules
+span, since every rule moves them by one of its rows; and the search,
+which decides whatever is left.  Read right to left, the rules generate
+the accepted words from the empty word: :func:`enumerate_language`
+computes that closure, for grammars too.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -126,6 +130,44 @@ class NcaSystem:
             else:
                 inserts.append((r.lhs, r.anchor))
         return tuple((*key, index_rules(tuple(rs)), tuple(us)) for key, (rs, us) in groups.items())
+
+    @functools.cached_property
+    def _lattice(self) -> tuple[tuple, tuple]:
+        """The lattice L spanned by the rows ``count(r.lhs) - count(r.rhs)``,
+        built on first use: the working symbols in column order, and an
+        echelon basis of L as (pivot column, row) pairs, in column order,
+        each row zero before its pivot and positive at it.  A rule changes
+        a word's count vector by minus its row, so every word that reduces
+        to the empty word has its count vector in L (Cohen, *A Course in
+        Computational Algebraic Number Theory*, 1993, §2.4)."""
+        symbols = sorted(self.alphabet.working)
+        column = {s: j for j, s in enumerate(symbols)}
+        rows: dict = {}  # distinct rows, in rule order
+        for r in self.rules:
+            row = [0] * len(symbols)
+            for s in r.lhs:
+                row[column[s]] += 1
+            for s in r.rhs:
+                row[column[s]] -= 1
+            rows[tuple(row)] = None
+        pivots: dict = {}
+        for row in rows:
+            for j in range(len(row)):
+                if not row[j]:
+                    continue
+                pivot = pivots.get(j)
+                if pivot is None:
+                    pivots[j] = row if row[j] > 0 else [-x for x in row]
+                    break
+                # Euclid on column j by unimodular row steps: the pivot row
+                # ends with the gcd there, and the other row with zero
+                while row[j]:
+                    q = row[j] // pivot[j]
+                    row = [x - q * p for x, p in zip(row, pivot)]
+                    if row[j]:
+                        pivot, row = row, pivot
+                pivots[j] = pivot
+        return tuple(symbols), tuple((j, tuple(row)) for j, row in sorted(pivots.items()))
 
 
 class Status(enum.Enum):
@@ -293,6 +335,22 @@ def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> D
             path.pop()
 
 
+def _in_lattice(sys: NcaSystem, w: Word) -> bool:
+    """Does the count vector of ``w`` lie in ``sys._lattice``?  Reduced by
+    each pivot row in turn, it must be divisible at the pivot and end as
+    zero."""
+    symbols, pivots = sys._lattice
+    counts = Counter(w)
+    v = [counts[s] for s in symbols]
+    for j, row in pivots:
+        q, rest = divmod(v[j], row[j])
+        if rest:
+            return False
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
 def _greedy(index: RuleIndex, w: Word) -> tuple[list[tuple[int, int]], Word]:
     """One deterministic left-to-right pass over ``w``, Cannon's algorithm
     made from the rules: letters move from the unread input onto a stack,
@@ -349,11 +407,13 @@ def decide(
 ) -> Decision:
     """Does ``w`` reduce to the empty word?  ``w`` must be a terminal word.
     ``memo``, if given, collects words that do not reduce and may be shared
-    across calls on the same system.  A word the deterministic pass
-    (:func:`_greedy`) reduces is accepted with that pass's moves as its
-    witness, at any budget, and fills no memo; :func:`_search` decides the
-    others within ``budget``.  ``grammar.member`` is this function on the
-    grammar's reversed system."""
+    across calls on the same system; a word in it is rejected first.  A
+    word the deterministic pass (:func:`_greedy`) reduces is accepted with
+    that pass's moves as its witness, at any budget, and fills no memo.  A
+    word the pass leaves whose count vector lies outside the system's
+    lattice (:func:`_in_lattice`) is rejected at any budget and fills no
+    memo either; :func:`_search` decides the others within ``budget``.
+    ``grammar.member`` is this function on the grammar's reversed system."""
     bad = [s for s in w if s not in sys.alphabet.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
@@ -362,6 +422,8 @@ def decide(
     moves, rest = _greedy(sys._index, w)
     if not rest:
         return Decision(Status.ACCEPTED, tuple(map(Move._make, moves)))
+    if not _in_lattice(sys, w):
+        return Decision(Status.REJECTED)
     return _search(sys._index, w, budget, memo)
 
 

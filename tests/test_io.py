@@ -281,11 +281,13 @@ class TestCli:
 
     def test_max_nodes_bounds_member(self, capsys):
         # the pass reduces the first word, so it needs no budget; the
-        # search needs 3 nodes to reject the second
+        # search needs 3 nodes to reject the second, whose letter counts
+        # lie in the rules' lattice; the third's do not, so it needs none
         assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b b", "--max-nodes", "1"]) == 0
         assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b b", "--max-nodes", "10"]) == 0
-        assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b", "--max-nodes", "1"]) == 3
-        assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b", "--max-nodes", "3"]) == 1
+        assert cli.main(["decide", fx("anbn.gcsg"), "a a b b b a", "--max-nodes", "1"]) == 3
+        assert cli.main(["decide", fx("anbn.gcsg"), "a a b b b a", "--max-nodes", "3"]) == 1
+        assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b", "--max-nodes", "1"]) == 1
 
     @pytest.mark.parametrize("value", ["0", "-1", "x", "\u00b2"])
     def test_max_nodes_below_one_is_usage_error(self, value, capsys):

@@ -251,10 +251,12 @@ class TestDecide:
 
     def test_budget_exceeded_is_distinct(self, fg2):
         # the pass reduces the first word, which needs no budget; the
-        # search needs 3 nodes to reject the second
+        # search needs 3 nodes to reject the second, whose exponent sums
+        # are zero; the third's are not, so no search runs
         assert nca.decide(fg2, word("a A a A a A"), Budget(max_nodes=2)).status is Status.ACCEPTED
-        d = nca.decide(fg2, word("a A a A a"), Budget(max_nodes=2))
+        d = nca.decide(fg2, word("a A a A a b A B"), Budget(max_nodes=2))
         assert d.status is Status.BUDGET_EXCEEDED
+        assert nca.decide(fg2, word("a A a A a"), Budget(max_nodes=1)).status is Status.REJECTED
 
     def test_deep_accepted_word(self, fg2, capsys):
         # a witness 1 200 moves long, deeper than the interpreter's default
@@ -365,11 +367,13 @@ class TestGreedy:
         moves, rest = nca._greedy(fg2._index, w)
         assert len(moves) == 3 and rest == ()
         assert nca.decide(fg2, w, Budget(max_nodes=1)).accepted
-        # the pass leaves this word at a, and the search decides it
-        w = word("a A a A a")
-        assert nca._greedy(fg2._index, w)[1] == word("a")
+        # the pass leaves this word at a b A B, and the search decides it
+        w = word("a A a A a b A B")
+        assert nca._greedy(fg2._index, w)[1] == word("a b A B")
         assert nca.decide(fg2, w, Budget(max_nodes=1)).status is Status.BUDGET_EXCEEDED
         assert nca.decide(fg2, w, Budget(max_nodes=3)).status is Status.REJECTED
+        # the pass leaves this one at a, outside the lattice: no search runs
+        assert nca.decide(fg2, word("a A a A a"), Budget(max_nodes=1)).status is Status.REJECTED
 
     @pytest.mark.parametrize("name, to_gcsg, max_len", every_system(6, 4))
     def test_pass_answers_at_any_budget(self, name, to_gcsg, max_len):
@@ -400,6 +404,81 @@ class TestGreedy:
         assert nca.decide(fg2, w, memo={w}).status is Status.REJECTED
 
 
+# (words rejected by the lattice, words rejected) among the nonempty
+# words of up to every_system(6, 4)'s lengths
+LATTICE_CATCHES = {
+    ("anbn.gcsg", False): (98, 123), ("anbn.nca", False): (98, 123),
+    ("both_anchor.egcsg", False): (0, 125), ("dyck.gcsg", False): (98, 118),
+    ("fg1.nca", False): (98, 98), ("fg2.nca", False): (5020, 5196),
+    ("left_anchor.egcsg", False): (0, 125), ("right_anchor.egcsg", False): (0, 125),
+    ("right_anchor.nca", False): (0, 0), ("s3.nca", False): (777, 1295),
+    ("xanchor.nca", False): (0, 5), ("xfree.nca", False): (0, 0),
+    ("s3.nca", True): (777, 1295), ("fg2.nca", True): (5020, 5196),
+    ("right_anchor.nca", True): (0, 0),
+}
+
+
+class TestLattice:
+    @pytest.mark.parametrize("name, to_gcsg, max_len", every_system(6, 4))
+    def test_rejects_no_accepted_word(self, name, to_gcsg, max_len):
+        # every word the search accepts lies in the lattice, and the
+        # lattice rejects exactly the pinned share of the others
+        _, index, sys, letters = deciding(name, to_gcsg)
+        caught = rejected = 0
+        for n in range(1, max_len + 1):
+            for w in itertools.product(letters, repeat=n):
+                inside = nca._in_lattice(sys, w)
+                d = nca._search(index, w, ORACLE_BUDGET, None)
+                assert d.status is not Status.BUDGET_EXCEEDED
+                if d.accepted:
+                    assert inside, w
+                else:
+                    rejected += 1
+                    caught += not inside
+        assert (caught, rejected) == LATTICE_CATCHES[name, to_gcsg]
+
+    def test_group_invariants(self, fg2):
+        # fg2: the two exponent sums; s3: Z^6/L is Z/2, the sign of a permutation
+        _, pivots = fg2._lattice
+        assert [row[j] for j, row in pivots] == [1, 1]
+        assert not nca._in_lattice(fg2, word("a b"))
+        assert nca._in_lattice(fg2, word("a b A B"))
+        s3 = load("s3.nca")
+        assert [row[j] for j, row in s3._lattice[1]] == [1, 1, 1, 1, 1, 2]
+        assert not nca._in_lattice(s3, word("t"))
+        assert nca._in_lattice(s3, word("r r r r"))
+
+    def test_built_once_after_a_failed_pass(self, fg2):
+        assert nca.decide(fg2, word("a b B A")).accepted
+        assert "_lattice" not in vars(fg2)
+        assert nca.decide(fg2, word("a b"), Budget(max_nodes=1)).status is Status.REJECTED
+        lattice = vars(fg2)["_lattice"]
+        assert nca.decide(fg2, word("a a b"), Budget(max_nodes=1)).status is Status.REJECTED
+        assert fg2._lattice is lattice
+
+    def test_rejection_fills_no_memo(self, fg2):
+        memo = set()
+        assert nca.decide(fg2, word("a b a"), memo=memo).status is Status.REJECTED
+        assert memo == set()
+        assert nca.decide(fg2, word("a b A B"), memo=memo).status is Status.REJECTED
+        assert word("a b A B") in memo
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(shortening_rules("abT"), min_size=1, max_size=6).map(tuple),
+           st.lists(st.sampled_from("abT"), max_size=8).map(tuple))
+    def test_random_systems(self, rules, w):
+        # on erasing, anchored and non-terminal (T) rules: every accepted
+        # word lies in the lattice, a rule keeps a word's coset, and decide
+        # agrees with the plain search
+        sys = make(rules, working="a b T")
+        assert all(nca._in_lattice(sys, u) for u in nca.enumerate_language(sys, 6))
+        inside = nca._in_lattice(sys, w)
+        for m in nca.legal_moves(sys, w):
+            assert nca._in_lattice(sys, nca.apply_move(sys, w, m)) == inside
+        terminal = tuple(s for s in w if s != "T")
+        check_against_search(functools.partial(nca.decide, sys), sys._index, sys, terminal)
+
+
 class TestMemoCap:
     """A search whose memo reaches ``nca.MAX_MEMO`` words stops, and an
     enumeration, of a system or of a grammar, that would hold more than
@@ -411,8 +490,11 @@ class TestMemoCap:
 
     def test_decide_with_a_full_memo(self, anbn_nca):
         memo = {("a",) * n for n in range(1, 6)}
-        d = nca.decide(anbn_nca, word("a a b"), memo=memo)
+        d = nca.decide(anbn_nca, word("a b b a"), memo=memo)
         assert d.status is Status.BUDGET_EXCEEDED
+        # a word outside the lattice is rejected before the search adds to the memo
+        d = nca.decide(anbn_nca, word("a a b"), Budget(max_nodes=1), memo=memo)
+        assert d.status is Status.REJECTED
 
     def test_enumerate_raises(self):
         with pytest.raises(nca.BudgetExceededError):
