@@ -1,8 +1,9 @@
 """Command line interface.
 
-``trace`` and ``decide --trace`` take systems and grammars.  A grammar's
-``rule#k`` is the k-th rule that ``convert --to nca`` writes, when ``S -> _``
-is a production: each ``S -> v`` as ``v -> _ @both``, then the rest reversed.
+``trace`` takes systems and grammars.  A grammar's ``rule#k`` numbers the
+rules that ``convert --to nca`` writes: each ``S -> v`` as ``v -> _ @both``,
+then the rest reversed.  Without ``S -> _``, append it to a copy of the
+grammar; ``convert --to nca`` of the copy then prints exactly those rules.
 
 Exit codes: 0 success / accepted / languages equal, 1 rejected / unequal,
 2 usage or parse error, 3 budget exceeded (search nodes, or ``nca.MAX_MEMO``
@@ -52,14 +53,6 @@ class _CliError(Exception):
     pass
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_validate(args) -> int:
     _load(args.file)
     print("ok")
@@ -83,7 +76,11 @@ def cmd_convert(args) -> int:
         result = fn(system)
     except ValueError as e:
         raise _CliError(str(e))
-    _emit(serialize_system(result), args.output)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.write(serialize_system(result))
+    else:
+        sys.stdout.write(serialize_system(result))
     return EXIT_OK
 
 
@@ -92,6 +89,8 @@ def _accepted(system, text: str, max_nodes: int):
     nodes.  Returns the system whose rules the witness indexes (a grammar's
     ``_backward``), the word and the witness when accepted; prints a
     rejection and returns None; a budget stop raises :class:`nca.BudgetExceededError`."""
+    if not text.split():  # an unset shell variable must not read as the empty word
+        raise _CliError("WORD holds no symbol; write _ for the empty word")
     budget = Budget(max_nodes=max_nodes)
     try:
         w = word(text)
@@ -114,8 +113,6 @@ def cmd_decide(args) -> int:
     accepted = _accepted(_load(args.file), args.word, args.max_nodes)
     if accepted is None:
         return EXIT_NEGATIVE
-    if args.trace:  # an unwritable trace must not follow a printed verdict
-        _emit(format_trace(history_mod.from_moves(*accepted)), args.trace)
     print("accepted")
     return EXIT_OK
 
@@ -153,7 +150,7 @@ def cmd_trace(args) -> int:
     if args.canonical:
         h = history_mod.canonicalize(h)
     sys.stdout.write(format_trace(h))
-    if args.diagram or sys.stdout.isatty():
+    if args.diagram:
         sys.stdout.write(format_diagram(h))
     return EXIT_OK
 
@@ -202,8 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide membership of a word")
     p.add_argument("file")
     p.add_argument("word", help="whitespace-separated symbols, or _ for the empty word")
-    p.add_argument("--trace", metavar="OUT", help="write a witness trace, as `trace` prints it; "
-                   "a grammar's rule#k indexes its reversed system, start productions first")
     _add_max_nodes(p)
     p.set_defaults(fn=cmd_decide)
 
@@ -224,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical", action="store_true",
                    help="reorder independent substitutions left-first")
     p.add_argument("--diagram", action="store_true",
-                   help="append the interval diagram even when piped")
+                   help="append the interval diagram")
     _add_max_nodes(p)
     p.set_defaults(fn=cmd_trace)
     return parser

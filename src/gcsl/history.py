@@ -195,7 +195,10 @@ def canonicalize(h: History) -> History:
     replay: letters are pushed onto a stack one at a time, an event fires
     as soon as its consumed block is the top of the stack and its anchor
     holds, and the letters it produces are read next, under fresh ids in
-    emission order.  Idempotent, and constant on swap-equivalence classes."""
+    emission order.  Idempotent, and constant on swap-equivalence classes.
+    A deterministic pass (``nca._greedy``) already fires events in this
+    order, so ``trace --canonical`` changes nothing for a word that the
+    pass accepts."""
     rules = h.system.rules
     waiting = {e.consumed[-1]: e for e in h.events}  # each letter is consumed once
     unread = list(range(len(h.start)))[::-1]  # next letter last

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from gcsl import grammar, history, nca, textio
 from gcsl.core import Alphabet, Anchor, word
+from gcsl.grammar import Grammar
 from gcsl.nca import Move, NcaSystem, Rule
 
-from conftest import load
+from conftest import FIXTURES, load
 from test_acceptance import dependency_closure, random_history, swappable
-from test_nca import small_systems
+from test_nca import small_systems, small_words
 
 
 def make(rules, terminals="a b", working=None):
@@ -274,6 +275,27 @@ class TestCanonicalize:
             assert end == ()
             h = history.from_moves(fg2, w, moves)
             assert history.canonicalize(h) == closure_reference(h)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+    def test_pass_history_is_canonical(self, name):
+        # the pass rewrites a block as soon as it tops the stack, as the
+        # replay fires it, so `trace --canonical` changes nothing for a
+        # word that the pass accepts
+        system = load(name)
+        words = textio.language(system, 4 if name == "s3.nca" else 7)
+        if isinstance(system, Grammar):
+            system = system._backward
+        for w in words:
+            h = history.from_moves(system, w, nca._greedy(system._index, w)[0])
+            assert history.canonicalize(h) == h, w
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems, small_words)
+    def test_every_pass_history_is_canonical(self, rules, w):
+        # whether or not the pass ends at the empty word
+        system = make(rules, terminals="a b c")
+        h = history.from_moves(system, w, nca._greedy(system._index, w)[0])
+        assert history.canonicalize(h) == h
 
     def test_random_scrambles_agree(self, pair_system):
         rng = random.Random(7)

@@ -311,26 +311,38 @@ class TestCli:
         assert cli.main(["equiv", fx("fg2.nca"), fx("fg1.nca"), "--max-len", "0"]) == 0
         assert capsys.readouterr().out == "equal up to length 0\n"
 
-    def test_decide_trace_output(self, tmp_path, capsys):
-        out = tmp_path / "trace.txt"
-        assert cli.main(["decide", fx("fg2.nca"), "a A", "--trace", str(out)]) == 0
-        assert out.read_text() == "0 | a A | rule#0 @0\n1 | _ |\n"
+    def test_trace_output(self, capsys):
+        assert cli.main(["trace", fx("fg2.nca"), "a A"]) == 0
+        assert capsys.readouterr().out == "0 | a A | rule#0 @0\n1 | _ |\n"
 
-    def test_decide_trace_to_missing_directory_prints_no_verdict(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "trace.txt"
+    def test_decide_has_no_trace_option(self, tmp_path, capsys):
+        out = tmp_path / "trace.txt"
         assert cli.main(["decide", fx("fg2.nca"), "a A", "--trace", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+        assert not out.exists()
+
+    def test_convert_to_missing_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert cli.main(["convert", "--to", "gcsg", fx("fg2.nca"), "-o", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and str(out) in captured.err
 
-    def test_decide_trace_on_grammar(self, tmp_path, capsys):
+    def test_trace_on_grammar(self, tmp_path, capsys):
         # rule#0 is S -> a b read backwards, as the erase a b -> _ @both
         g = tmp_path / "ab.gcsg"
         g.write_text("kind: gcsg\nterminals: a b\nnonterminals: S\nstart: S\n"
                      "productions:\nS -> a b\n")
-        out = tmp_path / "trace.txt"
-        assert cli.main(["decide", str(g), "a b", "--trace", str(out)]) == 0
-        assert capsys.readouterr().out == "accepted\n"
-        assert out.read_text() == "0 | a b | rule#0 @0\n1 | _ |\n"
+        assert cli.main(["trace", str(g), "a b"]) == 0
+        assert capsys.readouterr().out == "0 | a b | rule#0 @0\n1 | _ |\n"
+
+    @pytest.mark.parametrize("command", ["decide", "trace"])
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_word_without_symbols_is_usage_error(self, command, text, capsys):
+        # an unset shell variable must not read as the empty word _
+        assert cli.main([command, fx("fg2.nca"), text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "_" in captured.err
 
     def test_decide_outside_the_terminals_is_usage_error(self, capsys):
         assert cli.main(["decide", fx("fg2.nca"), "x"]) == 2
@@ -381,6 +393,31 @@ class TestCli:
         assert cli.main(["trace", fx("xanchor.nca"), "x", "--diagram"]) == 0
         out = capsys.readouterr().out
         assert "row 0: x[0,1)" in out and "row 1: _" in out
+
+    def test_trace_diagram_only_on_request(self, monkeypatch, capsys):
+        # a terminal gets the same output as a pipe
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        assert cli.main(["trace", fx("fg2.nca"), "a A"]) == 0
+        assert not any(line.startswith("row ") for line in capsys.readouterr().out.splitlines())
+        assert cli.main(["trace", fx("fg2.nca"), "a A", "--diagram"]) == 0
+        assert any(line.startswith("row ") for line in capsys.readouterr().out.splitlines())
+
+    @pytest.mark.parametrize("fixture", ["left_anchor.egcsg", "right_anchor.egcsg",
+                                         "both_anchor.egcsg"])
+    def test_convert_of_a_copy_with_the_empty_word_prints_the_traced_rules(
+            self, fixture, tmp_path, capsys):
+        # S -> _ adds no reversed rule, so the copy's conversion lists the
+        # rules that a trace of the original numbers, and traces alike
+        g = load(fixture)
+        copy = tmp_path / fixture
+        copy.write_text((FIXTURES / fixture).read_text() + "S -> _\n")
+        converted = transforms.gcsg_to_nca(textio.parse_system(copy.read_text()))
+        assert converted.rules == g._backward.rules
+        for w in grammar.generate_language(g, 6):
+            assert cli.main(["trace", fx(fixture), word_str(w)]) == 0
+            original = capsys.readouterr().out
+            assert cli.main(["trace", str(copy), word_str(w)]) == 0
+            assert capsys.readouterr().out == original
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", fx("anbn.gcsg")],
