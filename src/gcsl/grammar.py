@@ -117,7 +117,8 @@ def member(g: Grammar, w: Word, budget: Budget = nca.DEFAULT_BUDGET,
     the object :func:`gcsl.transforms.gcsg_to_nca` returns) reduces it to
     the empty word, so this is :func:`gcsl.nca.decide` on that system,
     whose rules the witness indexes."""
-    if w == ():
+    w = tuple(w)
+    if not w:
         eps = Production((g.start,), ()) in g.productions
         return Decision(Status.ACCEPTED, ()) if eps else Decision(Status.REJECTED)
     return nca.decide(g._backward, w, budget, memo=memo)

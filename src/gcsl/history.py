@@ -58,23 +58,23 @@ class History:
 
 
 def from_moves(system: NcaSystem, start: Word, moves) -> History:
-    """Build a history by replaying moves, checking legality at each step."""
+    """Build a history by replaying moves, ``Move``s or ``(rule, position)``
+    pairs, checking legality at each step; produced letters get fresh ids."""
     row = list(range(len(start)))
     symbols = list(start)
     events = []
-    for m in moves:
-        m = Move(*m)
-        rule = system.rules[m.rule_index] if 0 <= m.rule_index < len(system.rules) else None
+    for i, p in moves:
+        rule = system.rules[i] if 0 <= i < len(system.rules) else None
         k = len(rule.lhs) if rule is not None else 0
-        consumed = tuple(row[m.position:m.position + k])
-        if not (rule is not None and 0 <= m.position
-                and tuple(symbols[i] for i in consumed) == rule.lhs
-                and anchor_ok(rule.anchor, m.position, k, len(row))):
-            raise ValueError(f"illegal move {m} on {tuple(symbols[i] for i in row)}")
+        consumed = tuple(row[p:p + k])
+        if not (rule is not None and 0 <= p
+                and tuple(map(symbols.__getitem__, consumed)) == rule.lhs
+                and anchor_ok(rule.anchor, p, k, len(row))):
+            raise ValueError(f"illegal move {Move(i, p)} on {tuple(map(symbols.__getitem__, row))}")
         produced = tuple(range(len(symbols), len(symbols) + len(rule.rhs)))
         symbols.extend(rule.rhs)
-        row[m.position:m.position + k] = produced
-        events.append(Event(m.rule_index, m.position, consumed, produced))
+        row[p:p + k] = produced
+        events.append(Event(i, p, consumed, produced))
     return History(system, tuple(start), tuple(events), tuple(symbols))
 
 
@@ -189,23 +189,16 @@ def swap_adjacent(h: History, i: int) -> History:
     return History(h.system, h.start, tuple(events), h.symbols)
 
 
-def canonicalize(h: History) -> History:
-    """The unique equivalent history that always fires the leftmost event
-    whose block is in the word and whose anchor holds.  One left-to-right
-    replay: letters are pushed onto a stack one at a time, an event fires
-    as soon as its consumed block is the top of the stack and its anchor
-    holds, and the letters it produces are read next, under fresh ids in
-    emission order.  Idempotent, and constant on swap-equivalence classes.
-    A deterministic pass (``nca._greedy``) already fires events in this
-    order, so ``trace --canonical`` changes nothing for a word that the
-    pass accepts."""
+def _canonical_moves(h: History) -> list[tuple[int, int]]:
+    """The ``(rule, position)`` pairs of the canonical order, unchecked.  One
+    left-to-right replay: letters are pushed onto a stack one at a time, an
+    event fires as soon as its consumed block is the top of the stack and
+    its anchor holds, and the letters it produces are read next."""
     rules = h.system.rules
     waiting = {e.consumed[-1]: e for e in h.events}  # each letter is consumed once
     unread = list(range(len(h.start)))[::-1]  # next letter last
     stack: list[int] = []
-    new_id = list(range(len(h.symbols)))  # start letters keep theirs
-    symbols = list(h.start)
-    events = []
+    moves = []
     while unread:
         stack.append(unread.pop())
         while stack and (e := waiting.get(stack[-1])) is not None:
@@ -215,25 +208,31 @@ def canonicalize(h: History) -> History:
                     or not anchor_ok(rules[e.rule_index].anchor, pos, k, len(stack) + len(unread))):
                 break
             del waiting[e.consumed[-1]], stack[pos:]
-            produced = tuple(range(len(symbols), len(symbols) + len(e.produced)))
-            for old, new in zip(e.produced, produced):
-                new_id[old] = new
-                symbols.append(h.symbols[old])
-            events.append(Event(e.rule_index, pos, tuple(map(new_id.__getitem__, e.consumed)),
-                                produced))
+            moves.append((e.rule_index, pos))
             unread.extend(reversed(e.produced))
     if waiting:
         raise ValueError(f"{len(waiting)} of {len(h.events)} events never fire: "
                          "the history does not replay")
-    return History(h.system, h.start, tuple(events), tuple(symbols))
+    return moves
+
+
+def canonicalize(h: History) -> History:
+    """The unique equivalent history that always fires the leftmost event
+    whose block is in the word and whose anchor holds: :func:`_canonical_moves`
+    finds the order, and :func:`from_moves` builds and checks it.  Idempotent,
+    and constant on swap-equivalence classes.  The deterministic pass
+    (``nca._greedy``) fires events in this order, so ``trace --canonical``
+    changes nothing for a word that the pass accepts."""
+    return from_moves(h.system, h.start, _canonical_moves(h))
 
 
 def equivalent(h1: History, h2: History) -> bool:
     """Same system, same start word, and mutually reachable by swaps of
-    adjacent independent substitutions (decided via canonical forms)."""
+    adjacent independent substitutions (decided by comparing canonical
+    orders, without re-checking the moves)."""
     if h1.system != h2.system or h1.start != h2.start:
         return False
-    return canonicalize(h1) == canonicalize(h2)
+    return _canonical_moves(h1) == _canonical_moves(h2)
 
 
 def reorder_with_swaps(h: History, first, second) -> tuple[History, list[int]]:

@@ -268,10 +268,11 @@ def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
 
 def legal_moves(sys: NcaSystem, w: Word) -> list[Move]:
     """All applicable (rule, position) pairs, in lexicographic order."""
-    return list(map(Move._make, _moves(sys._index, w)))
+    return list(map(Move._make, _moves(sys._index, tuple(w))))
 
 
 def apply_move(sys: NcaSystem, w: Word, m: Move) -> Word:
+    w = tuple(w)
     rule = sys.rules[m.rule_index] if 0 <= m.rule_index < len(sys.rules) else None
     if rule is None or not occurs_at(w, rule.lhs, m.position, rule.anchor):
         raise ValueError(f"illegal move {m} on {w}")
@@ -414,6 +415,7 @@ def decide(
     lattice (:func:`_in_lattice`) is rejected at any budget and fills no
     memo either; :func:`_search` decides the others within ``budget``.
     ``grammar.member`` is this function on the grammar's reversed system."""
+    w = tuple(w)
     bad = [s for s in w if s not in sys.alphabet.terminals]
     if bad:
         raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")

@@ -15,8 +15,6 @@ Format (``#`` starts a comment, symbols are whitespace-separated,
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 # ValidationError is re-exported: parse_system raises it next to ParseError
 from .core import Alphabet, Anchor, ValidationError, Word, check_symbol, word, word_str
 from . import grammar as grammar_mod
@@ -220,20 +218,16 @@ def format_trace(h) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def format_diagram(h) -> str:
     """Rows of letters with their horizontal intervals, interleaved with
     the substitution line spans."""
     geo = history_mod.geometry(h)
-    cell = [f"{s}[{_frac(lo)},{_frac(hi)})" for s, (lo, hi) in zip(h.symbols, geo.intervals)]
+    cell = [f"{s}[{lo},{hi})" for s, (lo, hi) in zip(h.symbols, geo.intervals)]
     out = []
     for t, row in enumerate(history_mod.rows(h)):
         cells = " ".join(map(cell.__getitem__, row)) or "_"
         out.append(f"row {t}: {cells}")
         if t < len(h.events):
             lo, hi = geo.lines[t]
-            out.append(f"  line: [{_frac(lo)},{_frac(hi)}) rule#{h.events[t].rule_index}")
+            out.append(f"  line: [{lo},{hi}) rule#{h.events[t].rule_index}")
     return "\n".join(out) + "\n"

@@ -181,6 +181,11 @@ class TestMember:
         with pytest.raises(ValueError):
             grammar.member(anbn_grammar, word("a T b"))
 
+    @pytest.mark.parametrize("empty", [[], ""], ids=["list", "str"])
+    def test_empty_word_of_another_type(self, empty):
+        # left_anchor has no S -> _, so the empty word is no member
+        assert grammar.member(load("left_anchor.egcsg"), empty).status is nca.Status.REJECTED
+
     @pytest.mark.parametrize("fixture", ["anbn.gcsg", "dyck.gcsg"])
     def test_oracle_equivalence_to_eight(self, fixture):
         g = load(fixture)

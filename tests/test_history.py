@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from gcsl import grammar, history, nca, textio
 from gcsl.core import Alphabet, Anchor, word
@@ -11,7 +11,7 @@ from gcsl.grammar import Grammar
 from gcsl.nca import Move, NcaSystem, Rule
 
 from conftest import FIXTURES, load
-from test_acceptance import dependency_closure, random_history, swappable
+from test_acceptance import HISTORY_POOL, dependency_closure, random_history, swappable
 from test_nca import small_systems, small_words
 
 
@@ -261,6 +261,14 @@ class TestCanonicalize:
         with pytest.raises(ValueError, match="does not replay"):
             history.canonicalize(broken)
 
+    def test_block_that_does_not_spell_the_lhs_raises(self):
+        # the replay fires the event; building the canonical history checks it
+        sys = make([Rule(word("a b"), ())], terminals="a b c")
+        broken = history.History(sys, word("a c"), (history.Event(0, 0, (0, 1), ()),),
+                                 word("a c"))
+        with pytest.raises(ValueError, match="illegal move"):
+            history.canonicalize(broken)
+
     def test_matches_closure_reference(self):
         rng = random.Random(600)
         for _ in range(300):
@@ -482,6 +490,49 @@ class TestAnchoredHistories:
                 g = history.swap_adjacent(g, i)
                 history.from_moves(g.system, g.start, history.moves_of(g))  # raises unless legal
                 assert history.canonicalize(g) == c
+
+
+@st.composite
+def anchored_pairs(draw):
+    """A history of :func:`anchored_histories` and a second random walk to
+    a normal form from its start word on its system."""
+    h = draw(anchored_histories())
+    moves, _ = walk(h.system, h.start, lambda options: draw(st.sampled_from(options)))
+    return h, history.from_moves(h.system, h.start, moves)
+
+
+class TestEquivalentAgainstReferences:
+    def test_unanchored_walk_pairs_match_closure_reference(self):
+        # two walks of one word; the reference orders each walk's events by
+        # the full dependency closure
+        rng = random.Random(25)
+        outcomes = set()
+        for _ in range(300):
+            system = rng.choice([SPLIT_ERASE, FG2, *HISTORY_POOL])
+            if system is FG2:
+                u = [rng.choice("aAbB") for _ in range(rng.randint(1, 6))]
+                w = tuple(u) + tuple(s.swapcase() for s in reversed(u))
+            else:
+                letters = sorted(system.alphabet.working)
+                pieces = [r.lhs for r in system.rules] + [(x,) for x in letters]
+                w = sum((rng.choice(pieces) for _ in range(rng.randint(2, 6))), ())
+            g, h = (history.from_moves(system, w, walk(system, w, rng.choice)[0])
+                    for _ in range(2))
+            same = history.equivalent(g, h)
+            assert same == (closure_reference(g) == closure_reference(h))
+            outcomes.add(same)
+        assert outcomes == {True, False}
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchored_pairs())
+    def test_anchored_pairs_match_canonical_histories(self, pair):
+        g, h = pair
+        assert history.equivalent(g, h) == (history.canonicalize(g) == history.canonicalize(h))
+
+    @pytest.mark.parametrize("outcome", [True, False])
+    def test_anchored_pairs_draw_both_outcomes(self, outcome):
+        find(anchored_pairs(), lambda pair: history.equivalent(*pair) is outcome,
+             settings=settings(database=None))
 
 
 def precedence_reference(h):

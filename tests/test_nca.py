@@ -280,6 +280,21 @@ class TestDecide:
         assert w == ()
 
 
+class TestWordType:
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.iterdir()))
+    def test_list_and_tuple_words_agree(self, name):
+        # decide, member, legal_moves and apply_move read any sequence of
+        # symbols as the tuple of those symbols
+        decide, _, system, letters = deciding(name, False)
+        for n in range(4 if name == "s3.nca" else 5):
+            for w in itertools.product(letters, repeat=n):
+                assert decide(list(w), nca.DEFAULT_BUDGET) == decide(w, nca.DEFAULT_BUDGET), w
+                moves = nca.legal_moves(system, w)
+                assert nca.legal_moves(system, list(w)) == moves, w
+                for m in moves:
+                    assert nca.apply_move(system, list(w), m) == nca.apply_move(system, w, m)
+
+
 @functools.lru_cache(maxsize=None)
 def deciding(name, to_gcsg):
     """A fixture's ``decide`` or, for a grammar, ``member``, as a function
