@@ -110,28 +110,26 @@ class Geometry:
 def geometry(h: History) -> Geometry:
     """Exact diagram geometry.  Initial letters get unit width and
     consecutive unit intervals; the letters an event produces split the
-    consumed block's span into equal parts, one generation deeper."""
-    n0 = len(h.start)
-    total = len(h.symbols)
-    widths: list = [None] * total
-    gens: list = [None] * total
-    intervals: list = [None] * total
-    for i in range(n0):
-        widths[i] = Fraction(1)
-        gens[i] = 0
-        intervals[i] = (Fraction(i), Fraction(i + 1))
+    consumed block's span into equal parts, one generation deeper, and a
+    single produced letter takes the span itself."""
+    n0, rest = len(h.start), [None] * (len(h.symbols) - len(h.start))
+    ends = [Fraction(i) for i in range(n0 + 1)]
+    widths: list = [Fraction(1)] * n0 + rest
+    gens: list = [0] * n0 + rest
+    intervals: list = list(zip(ends, ends[1:])) + rest
     lines: list[Interval] = []
     for e in h.events:
         lo = intervals[e.consumed[0]][0]
         hi = intervals[e.consumed[-1]][1]
         lines.append((lo, hi))
         gen = 1 + max(gens[c] for c in e.consumed)
-        k = len(e.produced)
-        if k:
-            share = (hi - lo) / k
+        if len(e.produced) == 1:
+            (lid,) = e.produced
+            widths[lid], gens[lid], intervals[lid] = hi - lo, gen, (lo, hi)
+        elif e.produced:
+            share = (hi - lo) / len(e.produced)
             for j, lid in enumerate(e.produced):
-                widths[lid] = share
-                gens[lid] = gen
+                widths[lid], gens[lid] = share, gen
                 intervals[lid] = (lo + j * share, lo + (j + 1) * share)
     return Geometry(tuple(widths), tuple(gens), tuple(intervals), tuple(lines))
 

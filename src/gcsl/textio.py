@@ -208,26 +208,28 @@ def first_difference(a, b, max_len: int):
     return min(diff, key=shortlex_key)
 
 
+def _rows_text(h, cells):
+    """Yield each row's text, ``cells[i]`` for letter i, spliced from the row before."""
+    row = list(cells[:len(h.start)])
+    yield word_str(row)
+    for e in h.events:
+        row[e.position:e.position + len(e.consumed)] = [cells[i] for i in e.produced]
+        yield word_str(row)
+
+
 def format_trace(h) -> str:
     """One line per step: ``t | word | rule#k @pos``."""
-    words = history_mod.words_of(h)
-    lines = []
-    for t, e in enumerate(h.events):
-        lines.append(f"{t} | {word_str(words[t])} | rule#{e.rule_index} @{e.position}")
-    lines.append(f"{len(h.events)} | {word_str(words[-1])} |")
-    return "\n".join(lines) + "\n"
+    steps = [f" | rule#{e.rule_index} @{e.position}" for e in h.events] + [" |"]
+    rows = enumerate(zip(_rows_text(h, h.symbols), steps))
+    return "".join(f"{t} | {row}{step}\n" for t, (row, step) in rows)
 
 
 def format_diagram(h) -> str:
     """Rows of letters with their horizontal intervals, interleaved with
     the substitution line spans."""
     geo = history_mod.geometry(h)
-    cell = [f"{s}[{lo},{hi})" for s, (lo, hi) in zip(h.symbols, geo.intervals)]
-    out = []
-    for t, row in enumerate(history_mod.rows(h)):
-        cells = " ".join(map(cell.__getitem__, row)) or "_"
-        out.append(f"row {t}: {cells}")
-        if t < len(h.events):
-            lo, hi = geo.lines[t]
-            out.append(f"  line: [{lo},{hi}) rule#{h.events[t].rule_index}")
-    return "\n".join(out) + "\n"
+    cells = [f"{s}[{lo},{hi})" for s, (lo, hi) in zip(h.symbols, geo.intervals)]
+    lines = [f"\n  line: [{lo},{hi}) rule#{e.rule_index}"
+             for (lo, hi), e in zip(geo.lines, h.events)]
+    rows = enumerate(zip(_rows_text(h, cells), lines + [""]))
+    return "".join(f"row {t}: {row}{line}\n" for t, (row, line) in rows)

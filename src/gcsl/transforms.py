@@ -148,9 +148,13 @@ def _fresh_start(taken) -> Symbol:
 def nca_to_extended_gcsg(sys: NcaSystem) -> Grammar:
     """The extended-grammar intermediate of the system-to-grammar
     conversion.  Erasing rules are compensated by context productions
-    x -> xv / x -> vx over the whole working alphabet."""
+    x -> xv / x -> vx over the whole working alphabet.  More than
+    :data:`nca.MAX_MEMO` productions in all raise
+    :class:`nca.BudgetExceededError` before any is built."""
     working = sys.alphabet.working
     terminals = sys.alphabet.terminals
+    _check_count(1 + sum(1 if r.rhs else 1 + len(working) * (2 - sum(_pins(r.anchor)))
+                         for r in sys.rules))
     sigma = _fresh_start(working)
     order = sorted(working)
 

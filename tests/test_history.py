@@ -117,6 +117,19 @@ class TestConstruction:
 
 
 class TestGeometry:
+    def test_one_letter_production_takes_the_consumed_span(self):
+        h = history.from_moves(S3, word("e t s"), [(9, 1), (0, 0)])  # t s -> q, e -> _
+        geo = history.geometry(h)
+        q = h.events[0].produced[0]
+        assert h.symbols[q] == "q" and geo.lines[0] == (1, 3)
+        assert geo.intervals[q] == (1, 3) and geo.widths[q] == 2 and geo.generations[q] == 1
+
+    def test_empty_start(self, fg2):
+        h = history.from_moves(fg2, (), [])
+        assert history.geometry(h) == history.Geometry((), (), (), ())
+        assert textio.format_trace(h) == "0 | _ |\n"
+        assert textio.format_diagram(h) == "row 0: _\n"
+
     def test_erasing_event_line(self):
         sys = make([Rule(word("a b"), ())])
         h = history.from_moves(sys, word("a b a b"), [(0, 0), (0, 0)])
@@ -416,16 +429,15 @@ INVERSE = {FG2: str.swapcase, S3: {"e": "e", "t": "t", "s": "s", "u": "u", "r": 
 @st.composite
 def histories(draw):
     """Random legal walks to a word with no moves: of splitting and erasing
-    moves, and on accepted `fg2` and `s3` words, where every walk ends at
-    the empty word."""
+    moves, and on accepted `fg2` and `s3` words, the empty one included,
+    where every walk ends at the empty word."""
     system = draw(st.sampled_from([SPLIT_ERASE, SPLIT_ERASE, FG2, S3]))  # half split-erase
     if system is SPLIT_ERASE:
         # words made of left-hand sides, so that the splitting rules fire
         chunks = st.sampled_from([word("a b c"), word("e a b"), word("d e"), ("c",), ("e",)])
         w = sum(draw(st.lists(chunks, min_size=2, max_size=6)), ())
     else:
-        u = draw(st.lists(st.sampled_from(sorted(system.alphabet.working)), min_size=1,
-                          max_size=10))
+        u = draw(st.lists(st.sampled_from(sorted(system.alphabet.working)), max_size=10))
         w = tuple(u) + tuple(map(INVERSE[system], reversed(u)))
     moves, end = walk(system, w, lambda options: draw(st.sampled_from(options)))
     assert end == () or system is SPLIT_ERASE
@@ -456,6 +468,32 @@ class TestRankedOrder:
                 lo, hi = geo.lines[t]
                 out.append(f"  line: [{frac(lo)},{frac(hi)}) rule#{h.events[t].rule_index}")
         assert textio.format_diagram(h) == "\n".join(out) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(histories())
+    def test_trace_matches_per_row_formatter(self, h):
+        words = history.words_of(h)
+        out = [f"{t} | {' '.join(words[t]) or '_'} | rule#{e.rule_index} @{e.position}"
+               for t, e in enumerate(h.events)]
+        out.append(f"{len(h.events)} | {' '.join(words[-1]) or '_'} |")
+        assert textio.format_trace(h) == "\n".join(out) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(histories())
+    def test_geometry_is_exact_and_one_letter_takes_the_span(self, h):
+        # on s3, fg2 and SPLIT_ERASE alike
+        geo = history.geometry(h)
+        ends = [x for lo_hi in geo.intervals + geo.lines for x in lo_hi]
+        assert all(type(x) is Fraction for x in geo.widths + tuple(ends))
+        for e, line in zip(h.events, geo.lines):
+            if len(e.produced) == 1:
+                (lid,) = e.produced
+                assert geo.intervals[lid] == line and geo.widths[lid] == line[1] - line[0]
+
+    def test_strategy_draws_an_empty_start_and_one_letter_productions(self):
+        find(histories(), lambda h: not h.start, settings=settings(database=None))
+        find(histories(), lambda h: any(len(e.produced) == 1 for e in h.events),
+             settings=settings(database=None))
 
     def test_pool_has_fractional_endpoints(self):
         h = history.from_moves(SPLIT_ERASE, word("a b c a b"), [(0, 0), (1, 1), (2, 1)])

@@ -307,6 +307,30 @@ class TestNcaToGcsg:
         assert g.start == "S1"
         assert textio.first_difference(sys, g, 6) is None
 
+    def test_context_productions_counted_before_they_are_built(self, monkeypatch):
+        # 1 000 symbols and 501 erasing rules: 1 + 501 * (1 + 2 * 1 000) = 1 002 502
+        letters = [f"x{i}" for i in range(1000)]
+        sys = NcaSystem(Alphabet(frozenset(letters), frozenset(letters)),
+                        tuple(Rule((letters[i], letters[i + 1]), ()) for i in range(501)))
+        built = []
+        monkeypatch.setattr(transforms, "Production", lambda *a: built.append(a))
+        with pytest.raises(nca.BudgetExceededError, match="more than 1000000 productions"):
+            transforms.nca_to_extended_gcsg(sys)
+        assert built == []
+
+    @pytest.mark.parametrize("anchor", list(Anchor))
+    def test_extended_count_is_exact(self, anchor, monkeypatch):
+        # one reversed rule, one erasing rule with its context productions,
+        # and the two start productions
+        sys = NcaSystem(Alphabet(frozenset("ab"), frozenset("abT")),
+                        (Rule(word("a b"), word("T"), anchor), Rule(word("a T b"), (), anchor)))
+        built = len(transforms.nca_to_extended_gcsg(sys).productions)
+        monkeypatch.setattr(nca, "MAX_MEMO", built)
+        transforms.nca_to_extended_gcsg(sys)
+        monkeypatch.setattr(nca, "MAX_MEMO", built - 1)
+        with pytest.raises(nca.BudgetExceededError, match=f"more than {built - 1} productions"):
+            transforms.nca_to_extended_gcsg(sys)
+
     def test_erasing_rule_beyond_max_memo_refused_at_once(self):
         # an n-letter erasing rule converts to the same few copies for any n,
         # where eliminating terminals first made 2^n of them
