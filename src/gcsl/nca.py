@@ -6,18 +6,21 @@ reduces it to the empty word.  Every rule strictly shortens the word, so
 depth-first search with a memo set of dead words is exhaustive and
 terminates.  :func:`decide` tries four steps in order: a shared memo of
 dead words; one deterministic left-to-right pass, Goodman and Shapiro's
-Cannon's algorithm, which accepts many words in linear time; a test that
-rejects a word whose letter counts lie outside the lattice the rules
-span, since every rule moves them by one of its rows; and the search,
-which decides whatever is left.  Read right to left, the rules generate
-the accepted words from the empty word: :func:`enumerate_language`
-computes that closure, for grammars too.
+Cannon's algorithm, which accepts many words in linear time with one step
+per letter of a keyword automaton over the left-hand sides, whose states
+are built on first use and held by the system's rule index; a test that
+rejects a word whose letter counts, once the pass stops, lie outside the
+lattice the rules span, since every rule moves them by one of its rows;
+and the search, which decides whatever is left.  Read right to left, the
+rules generate the accepted words from the empty word:
+:func:`enumerate_language` computes that closure, for grammars too.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -63,6 +66,95 @@ class Move(NamedTuple):
     position: int
 
 
+# a Move from a (rule index, position) pair, at about half the cost of Move._make
+_move = functools.partial(tuple.__new__, Move)
+
+
+class PassAutomaton:
+    """The keyword automaton of a rule tuple's left-hand sides (Aho and
+    Corasick, CACM 1975), which the deterministic pass (:func:`_greedy`)
+    walks one step per letter.  A state, numbered by an int, is the longest
+    suffix of the pass's stack that is a prefix of some left-hand side;
+    ``words`` holds these prefixes, the empty one first.  Every left-hand
+    side that ends the stack also ends its state's prefix, so
+    ``candidates`` lists, per state, the rewrites that may apply at the top
+    of the stack, in the pass's order: longest first, anchored before
+    unanchored at equal length, lowest index first, and ending at the first
+    unanchored one, which always applies.  Each is a (rule index, anchor,
+    left-hand-side length, right-hand side reversed) tuple.
+
+    The first pass reads every left-hand side once, into ``own``, which
+    maps each prefix of one to the rewrites of that left-hand side alone.
+    After that a state is built the first time the pass reaches it, and
+    ``step`` maps each state's letters seen so far to the next state.
+    States and transitions are added under ``lock``, and a transition only
+    once its state is whole, so passes in several threads can share one
+    automaton."""
+
+    __slots__ = ("rules", "by_len", "lock", "words", "own", "ids", "candidates", "step")
+
+    def __init__(self, rules, by_len):
+        self.rules = rules
+        self.by_len = by_len
+        self.lock = threading.Lock()  # held while a state or a transition is added
+        self.words: list = []  # the other tables are made with state 0
+
+    def __reduce__(self):
+        # a copy or a pickle starts with no states, as the lock cannot be copied
+        return PassAutomaton, (self.rules, self.by_len)
+
+    def start(self) -> None:
+        """Build ``own`` and state 0, the empty prefix, unless built.  No
+        left-hand side is empty, so state 0 has no candidates."""
+        with self.lock:
+            if not self.words:
+                rules = self.rules
+                own = {(): ()}
+                for k, anchored, free in self.by_len:
+                    for lhs, hits in anchored.items():
+                        own[lhs] = tuple((i, anchor, k, rules[i].rhs[::-1]) for i, anchor in hits)
+                    for lhs, hits in free.items():
+                        i = hits[0]
+                        own[lhs] = own.get(lhs, ()) + ((i, Anchor.NONE, k, rules[i].rhs[::-1]),)
+                for lhs in list(own):
+                    for j in range(1, len(lhs)):
+                        own.setdefault(lhs[:j], ())
+                self.own = own
+                self.ids = {(): 0}
+                self.candidates = [()]
+                self.step = [{}]
+                self.words.append(())  # last: a pass that finds state 0 finds all of it
+
+    def follow(self, state: int, letter) -> int:
+        """The state after ``letter`` is pushed in ``state``: the longest
+        suffix of its prefix and ``letter`` that is a prefix itself, built
+        if it is new."""
+        self.lock.acquire()  # not a with block, which costs twice as much
+        try:
+            prefix = self.words[state] + (letter,)
+            own = self.own
+            while prefix not in own:
+                prefix = prefix[1:]
+            nxt = self.ids.get(prefix)
+            if nxt is None:
+                out = ()
+                for j in range(len(prefix)):  # the suffixes, longest first
+                    rewrites = own.get(prefix[j:])
+                    if rewrites:
+                        out += rewrites
+                        if rewrites[-1][1] is Anchor.NONE:
+                            break
+                nxt = len(self.words)
+                self.candidates.append(out)
+                self.step.append({})
+                self.ids[prefix] = nxt
+                self.words.append(prefix)
+            self.step[state][letter] = nxt
+        finally:
+            self.lock.release()
+        return nxt
+
+
 class RuleIndex(NamedTuple):
     """A rule tuple indexed by left-hand side.  ``by_len`` pairs each
     left-hand-side length ``k``, longest first, with two tables: one maps
@@ -70,11 +162,13 @@ class RuleIndex(NamedTuple):
     rules that have it, each paired with its anchor, and the other maps
     each unanchored one to the indices of its rules.  A table is empty
     when no rule of that kind has length ``k``.  ``free_len`` holds each
-    rule's left-hand-side length if it is unanchored and 0 if not."""
+    rule's left-hand-side length if it is unanchored and 0 if not.
+    ``automaton`` belongs to this index alone and starts with no states."""
 
     rules: tuple[Rule, ...]
     free_len: tuple[int, ...]
     by_len: tuple[tuple[int, dict, dict], ...]
+    automaton: PassAutomaton
 
 
 def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
@@ -91,7 +185,7 @@ def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
     free_len = tuple(len(r.lhs) if r.anchor is Anchor.NONE else 0 for r in rules)
     by_len = tuple((k, anchored.get(k, {}), free.get(k, {}))
                    for k in sorted(free.keys() | anchored.keys(), reverse=True))
-    return RuleIndex(rules, free_len, by_len)
+    return RuleIndex(rules, free_len, by_len, PassAutomaton(rules, by_len))
 
 
 @dataclass(frozen=True)
@@ -268,7 +362,7 @@ def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
 
 def legal_moves(sys: NcaSystem, w: Word) -> list[Move]:
     """All applicable (rule, position) pairs, in lexicographic order."""
-    return list(map(Move._make, _moves(sys._index, tuple(w))))
+    return list(map(_move, _moves(sys._index, tuple(w))))
 
 
 def apply_move(sys: NcaSystem, w: Word, m: Move) -> Word:
@@ -321,7 +415,7 @@ def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> D
             child = splice(parent, p, len(r.lhs), r.rhs)
             if not child:
                 path.append(m)
-                return Decision(Status.ACCEPTED, tuple(map(Move._make, path)))
+                return Decision(Status.ACCEPTED, tuple(map(_move, path)))
             if child not in memo:
                 path.append(m)
                 word = child
@@ -362,39 +456,41 @@ def _greedy(index: RuleIndex, w: Word) -> tuple[list[tuple[int, int]], Word]:
     A rewrite's letters go back onto the unread input.  Each rewrite is a
     legal move that shortens the word, so the pass makes at most ``len(w)``
     of them, needs no budget, and returns its moves and the word it stopped
-    at: when that is the empty word, the moves are a witness."""
-    rules = index.rules
-    by_len = index.by_len
+    at: when that is the empty word, the moves are a witness.
+
+    The pass walks ``index.automaton`` (:class:`PassAutomaton`), one step
+    per pushed letter, and keeps the state after each prefix of the stack,
+    so a rewrite at ``pos`` goes back to the state stored there.  A state
+    is built the first time the pass reaches it, and the index keeps it."""
+    automaton = index.automaton
+    if not automaton.words:
+        automaton.start()
+    step, candidates, follow = automaton.step, automaton.candidates, automaton.follow
+    unanchored = Anchor.NONE
     stack: list = []
+    state = 0
+    states = [state]  # the state after each prefix of the stack
     unread = list(reversed(w))
     moves: list = []
     while unread:
-        stack.append(unread.pop())
-        while True:  # rewrite at the top of the stack until nothing matches
+        letter = unread.pop()
+        nxt = step[state].get(letter)
+        state = follow(state, letter) if nxt is None else nxt
+        stack.append(letter)
+        states.append(state)
+        while candidates[state]:  # rewrite at the top of the stack until nothing matches
             top = len(stack)
-            hit = None
-            for k, anchored, free in by_len:
-                if k > top:
-                    continue
+            for i, anchor, k, rhs in candidates[state]:
                 pos = top - k
-                lhs = tuple(stack[pos:])
-                for i, anchor in anchored.get(lhs, ()):
-                    if anchor_ok(anchor, pos, k, top + len(unread)):
-                        hit = i
-                        break
-                else:
-                    hits = free.get(lhs)
-                    if hits:
-                        hit = hits[0]
-                if hit is not None:
+                if anchor is unanchored or anchor_ok(anchor, pos, k, top + len(unread)):
                     break
-            if hit is None:
+            else:
                 break
-            moves.append((hit, pos))
-            del stack[pos:]
-            rhs = rules[hit].rhs
+            moves.append((i, pos))
+            del stack[pos:], states[pos + 1:]
+            state = states[pos]
             if rhs:
-                unread.extend(reversed(rhs))
+                unread.extend(rhs)
                 break
     return moves, tuple(stack)
 
@@ -413,18 +509,21 @@ def decide(
     that pass's moves as its witness, at any budget, and fills no memo.  A
     word the pass leaves whose count vector lies outside the system's
     lattice (:func:`_in_lattice`) is rejected at any budget and fills no
-    memo either; :func:`_search` decides the others within ``budget``.
+    memo either.  Each rewrite moves the count vector by one lattice row,
+    so that word's vector is in the lattice exactly when ``w``'s is, and
+    it is the shorter one to count.  :func:`_search` decides the others
+    within ``budget``.
     ``grammar.member`` is this function on the grammar's reversed system."""
     w = tuple(w)
-    bad = [s for s in w if s not in sys.alphabet.terminals]
-    if bad:
-        raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(bad))}")
+    terminals = sys.alphabet.terminals
+    if not terminals.issuperset(w):
+        raise ValueError(f"input symbols outside terminal alphabet: {sorted(set(w) - terminals)}")
     if memo is not None and w in memo:
         return Decision(Status.REJECTED)
     moves, rest = _greedy(sys._index, w)
     if not rest:
-        return Decision(Status.ACCEPTED, tuple(map(Move._make, moves)))
-    if not _in_lattice(sys, w):
+        return Decision(Status.ACCEPTED, tuple(map(_move, moves)))
+    if not _in_lattice(sys, rest):
         return Decision(Status.REJECTED)
     return _search(sys._index, w, budget, memo)
 

@@ -1,12 +1,16 @@
+import copy as copy_module
 import functools
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gcsl import cli, grammar, nca, transforms
-from gcsl.core import Alphabet, Anchor, ValidationError, splice, word
+from gcsl import cli, grammar, nca, textio, transforms
+from gcsl.core import Alphabet, Anchor, ValidationError, anchor_ok, splice, word
 from gcsl.nca import Budget, Move, NcaSystem, Rule, Status
 
 from conftest import FIXTURES, load, shortening_rules
@@ -348,6 +352,145 @@ def every_system(max_len, s3_len):
     ]
 
 
+def reference_pass(index, w):
+    """The deterministic pass before the left-hand-side automaton, kept as
+    the oracle: after each push, and after each erase, one slice and two
+    dict lookups per left-hand-side length, longest first."""
+    rules = index.rules
+    stack = []
+    unread = list(reversed(w))
+    moves = []
+    while unread:
+        stack.append(unread.pop())
+        while True:
+            top = len(stack)
+            hit = None
+            for k, anchored, free in index.by_len:
+                if k > top:
+                    continue
+                pos = top - k
+                lhs = tuple(stack[pos:])
+                for i, anchor in anchored.get(lhs, ()):
+                    if anchor_ok(anchor, pos, k, top + len(unread)):
+                        hit = i
+                        break
+                else:
+                    hits = free.get(lhs)
+                    if hits:
+                        hit = hits[0]
+                if hit is not None:
+                    break
+            if hit is None:
+                break
+            moves.append((hit, pos))
+            del stack[pos:]
+            rhs = rules[hit].rhs
+            if rhs:
+                unread.extend(reversed(rhs))
+                break
+    return moves, tuple(stack)
+
+
+class TestPassAutomaton:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(shortening_rules("ab"), min_size=1, max_size=10).map(tuple),
+           st.lists(st.sampled_from("abc"), max_size=12).map(tuple))
+    def test_random_systems_match_reference(self, rules, w):
+        # left-hand sides over two letters overlap and share prefixes, at
+        # every anchor; c starts none of them
+        index = nca.index_rules(rules)
+        assert nca._greedy(index, w) == reference_pass(index, w)
+
+    @pytest.mark.parametrize("name, to_gcsg, max_len", every_system(6, 6))
+    def test_every_short_word_matches_reference(self, name, to_gcsg, max_len):
+        _, index, _, letters = deciding(name, to_gcsg)
+        for n in range(max_len + 1):
+            for w in itertools.product(letters, repeat=n):
+                assert nca._greedy(index, w) == reference_pass(index, w), w
+
+    def test_candidates_in_pass_order(self):
+        # at equal length the anchored rules come first, lowest index first,
+        # then the first unanchored one; nothing after it can apply
+        index = nca.index_rules((
+            Rule(word("b"), ()), Rule(word("a b"), ()), Rule(word("a b"), word("c")),
+            Rule(word("a b"), (), Anchor.RIGHT), Rule(word("a b"), (), Anchor.LEFT)))
+        automaton = index.automaton
+        assert automaton.words == []
+        nca._greedy(index, word("a b"))
+        state = automaton.ids[word("a b")]
+        assert automaton.candidates[state] == (
+            (3, Anchor.RIGHT, 2, ()), (4, Anchor.LEFT, 2, ()), (1, Anchor.NONE, 2, ()))
+
+    def test_unbuilt_outside_the_pass(self, monkeypatch):
+        indexes = []
+        index_rules = nca.index_rules
+        monkeypatch.setattr(nca, "index_rules",
+                            lambda rules: indexes.append(index_rules(rules)) or indexes[-1])
+        for name in ("s3.nca", "right_anchor.nca"):
+            system = load(name)
+            nca.enumerate_language(system, 3)
+            g = transforms.nca_to_gcsg(system)
+            textio.serialize_system(g)
+            textio.serialize_system(system)
+        assert indexes and all(ix.automaton.words == [] for ix in indexes)
+        nca.decide(system, word("a b"))
+        assert system._index.automaton.words
+
+    def test_builds_only_the_states_it_reaches(self):
+        # the 1 000-symbol, 501-rule system of the conversion cap
+        symbols = [f"x{i}" for i in range(1000)]
+        system = NcaSystem(Alphabet(frozenset(symbols), frozenset(symbols)),
+                           tuple(Rule((f"x{i}", f"x{i + 1}"), ()) for i in range(501)))
+        assert nca.decide(system, word("x7 x8")).accepted
+        assert len(system._index.automaton.words) <= 3
+
+    def test_threads_share_one_automaton(self):
+        # four threads build one automaton of hundreds of states at once,
+        # switching as often as the interpreter allows: every state keeps
+        # its own number, and every pass matches the reference
+        rng = random.Random(0)
+        rules = tuple(dict.fromkeys(Rule(tuple(rng.choices("abcdefgh", k=rng.randint(3, 5))), ())
+                                    for _ in range(600)))
+        words = [tuple(rng.choices("abcdefgh", k=40)) for _ in range(400)]
+        expected = [reference_pass(nca.index_rules(rules), w) for w in words]
+        interval = sys.getswitchinterval()
+        for _ in range(10):
+            index = nca.index_rules(rules)
+            results = {}
+
+            def run(part):
+                results[part] = [nca._greedy(index, w) for w in words[part::4]]
+
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=run, args=(part,)) for part in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            automaton = index.automaton
+            assert [automaton.ids[u] for u in automaton.words] == list(range(len(automaton.words)))
+            for part in range(4):
+                assert results[part] == expected[part::4]
+
+    def test_copies_start_unbuilt(self, fg2):
+        assert nca.decide(fg2, word("a b B A")).accepted
+        for copy in (pickle.loads(pickle.dumps(fg2)), copy_module.deepcopy(fg2)):
+            assert copy == fg2 and copy._index.automaton.words == []
+            assert nca.decide(copy, word("a b B A")) == nca.decide(fg2, word("a b B A"))
+
+    def test_equal_systems_keep_their_own(self):
+        s1, s2 = load("fg2.nca"), load("fg2.nca")
+        assert s1 == s2 and s1 is not s2
+        assert nca.decide(s1, word("a b B A")).accepted
+        assert s1._index.automaton.words and s2._index.automaton.words == []
+        assert nca.decide(s2, word("a A")).accepted
+        assert s2._index.automaton is not s1._index.automaton
+
+
 class TestGreedy:
     @pytest.mark.parametrize("name, to_gcsg, max_len", every_system(8, 5))
     @settings(max_examples=60, deadline=None)
@@ -470,6 +613,14 @@ class TestLattice:
         lattice = vars(fg2)["_lattice"]
         assert nca.decide(fg2, word("a a b"), Budget(max_nodes=1)).status is Status.REJECTED
         assert fg2._lattice is lattice
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_systems, small_words)
+    def test_same_answer_after_the_pass(self, rules, w):
+        # each rewrite moves the count vector by one lattice row, so decide
+        # may test the word the pass leaves instead of the input
+        sys = make(rules, terminals="a b c")
+        assert nca._in_lattice(sys, w) == nca._in_lattice(sys, nca._greedy(sys._index, w)[1])
 
     def test_rejection_fills_no_memo(self, fg2):
         memo = set()
