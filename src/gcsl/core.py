@@ -9,7 +9,7 @@ reserved token ``_`` stands for the empty word.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Symbol = str
 Word = tuple[Symbol, ...]
@@ -63,19 +63,19 @@ class ValidationError(ValueError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(NamedTuple("Alphabet", [("terminals", frozenset), ("working", frozenset)])):
     """A working alphabet together with its distinguished terminal subset."""
 
-    terminals: frozenset[Symbol]
-    working: frozenset[Symbol]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
-    def __post_init__(self):
-        for name in self.working:
+    def __new__(cls, terminals: frozenset[Symbol], working: frozenset[Symbol]):
+        for name in working:
             check_symbol(name)
-        if not self.terminals <= self.working:
-            extra = sorted(self.terminals - self.working)
+        if not terminals <= working:
+            extra = sorted(terminals - working)
             raise ValueError(f"terminals not in working alphabet: {extra}")
+        return tuple.__new__(cls, (terminals, working))
 
 
 def anchor_ok(anchor: Anchor, start: int, needle_len: int, haystack_len: int) -> bool:

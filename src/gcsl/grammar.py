@@ -13,8 +13,7 @@ word, and enumerating that system lists the language (``()`` aside).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Alphabet, Anchor, Symbol, ValidationError, Word, check_symbol
 from . import nca
@@ -25,21 +24,22 @@ from .nca import Budget, Decision, NcaSystem, Rule, Status
 Production = Rule
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(NamedTuple("Grammar", [("nonterminals", frozenset), ("terminals", frozenset),
+                                     ("start", Symbol), ("productions", tuple)])):
     """A growing grammar, as defined in the module docstring; construction
-    raises :class:`ValidationError` listing every violation."""
+    raises :class:`ValidationError` listing every violation.  No
+    ``__slots__``: ``_backward`` is cached in the instance dict."""
 
-    nonterminals: frozenset[Symbol]
-    terminals: frozenset[Symbol]
-    start: Symbol
-    productions: tuple[Production, ...]
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
-    def __post_init__(self):
-        object.__setattr__(self, "productions", tuple(dict.fromkeys(self.productions)))
+    def __new__(cls, nonterminals: frozenset[Symbol], terminals: frozenset[Symbol],
+                start: Symbol, productions: tuple[Production, ...]):
+        productions = tuple(dict.fromkeys(productions))
+        self = tuple.__new__(cls, (nonterminals, terminals, start, productions))
         violations = _validate(self)
         if violations:
             raise ValidationError(violations)
+        return self
 
     @property
     def alphabet(self) -> frozenset[Symbol]:

@@ -24,15 +24,13 @@ code builds that order as a graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .core import Anchor, Word, anchor_ok
 from .nca import Move, NcaSystem
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One substitution: which rule fired where, and letter provenance.
 
     Letter ids index into ``History.symbols``; ``consumed`` is the
@@ -46,15 +44,35 @@ class Event:
     produced: tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class History:
-    system: NcaSystem
-    start: Word
-    events: tuple[Event, ...]
-    symbols: tuple[str, ...]  # symbol of each letter id, in id order
+    """A start word, the events that reduce it, and the symbol of each
+    letter id, in id order.  Read-only; ``len`` counts the events."""
+
+    __slots__ = ("system", "start", "events", "symbols")
+
+    def __init__(self, system: NcaSystem, start: Word, events: tuple[Event, ...], symbols: Word):
+        for name, value in zip(History.__slots__, (system, start, events, symbols)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a History is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return History, (self.system, self.start, self.events, self.symbols)
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if type(other) is History else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
 
     def __len__(self):
         return len(self.events)
+
+    def __repr__(self):
+        return f"History({', '.join(f'{n}={getattr(self, n)!r}' for n in History.__slots__)})"
 
 
 def from_moves(system: NcaSystem, start: Word, moves) -> History:
@@ -96,11 +114,11 @@ def words_of(h: History) -> list[Word]:
     return [tuple(map(h.symbols.__getitem__, row)) for row in rows(h)]
 
 
-Interval = tuple[Fraction, Fraction]
+# a string, so that importing this module does not import fractions
+Interval = "tuple[Fraction, Fraction]"
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(NamedTuple):
     widths: tuple[Fraction, ...]        # per letter id
     generations: tuple[int, ...]        # per letter id
     intervals: tuple[Interval, ...]     # per letter id, half-open
@@ -112,6 +130,8 @@ def geometry(h: History) -> Geometry:
     consecutive unit intervals; the letters an event produces split the
     consumed block's span into equal parts, one generation deeper, and a
     single produced letter takes the span itself."""
+    from fractions import Fraction  # imported only here, as it adds to every start-up
+
     n0, rest = len(h.start), [None] * (len(h.symbols) - len(h.start))
     ends = [Fraction(i) for i in range(n0 + 1)]
     widths: list = [Fraction(1)] * n0 + rest

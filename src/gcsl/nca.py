@@ -22,7 +22,6 @@ import enum
 import functools
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import Alphabet, Anchor, ValidationError, Word, anchor_ok, occurs_at, splice
@@ -38,8 +37,7 @@ class BudgetExceededError(Exception):
     or a conversion :data:`MAX_MEMO`."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """The most words one search expands; the deterministic pass is unmetered."""
 
     max_nodes: int = 10**6
@@ -48,17 +46,15 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class Rule:
-    lhs: Word
-    rhs: Word
-    anchor: Anchor = Anchor.NONE
+class Rule(NamedTuple("Rule", [("lhs", Word), ("rhs", Word), ("anchor", Anchor)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
-    def __post_init__(self):
-        object.__setattr__(self, "lhs", tuple(self.lhs))
-        object.__setattr__(self, "rhs", tuple(self.rhs))
-        if not self.lhs:
+    def __new__(cls, lhs: Word, rhs: Word, anchor: Anchor = Anchor.NONE):
+        lhs = tuple(lhs)
+        if not lhs:
             raise ValueError("empty left hand side")
+        return tuple.__new__(cls, (lhs, tuple(rhs), anchor))
 
 
 class Move(NamedTuple):
@@ -188,21 +184,21 @@ def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
     return RuleIndex(rules, free_len, by_len, PassAutomaton(rules, by_len))
 
 
-@dataclass(frozen=True)
-class NcaSystem:
+class NcaSystem(NamedTuple("NcaSystem", [("alphabet", Alphabet), ("rules", tuple)])):
     """A rewriting system whose rules are strictly length-reducing and
     written over its working alphabet; construction raises
-    :class:`ValidationError` listing every rule that is not."""
+    :class:`ValidationError` listing every rule that is not.  No
+    ``__slots__``: the tables below are cached in the instance dict."""
 
-    alphabet: Alphabet
-    rules: tuple[Rule, ...]
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
-    def __post_init__(self):
+    def __new__(cls, alphabet: Alphabet, rules: tuple[Rule, ...]):
         # duplicate rules are permitted on input but collapse to one
-        object.__setattr__(self, "rules", tuple(dict.fromkeys(self.rules)))
+        self = tuple.__new__(cls, (alphabet, tuple(dict.fromkeys(rules))))
         violations = _validate(self)
         if violations:
             raise ValidationError(violations)
+        return self
 
     @functools.cached_property
     def _index(self) -> RuleIndex:
@@ -270,8 +266,7 @@ class Status(enum.Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     status: Status
     # sequence of moves reducing the input to the empty word, on acceptance
     witness: Optional[tuple[Move, ...]] = None

@@ -477,9 +477,11 @@ class TestPassAutomaton:
                 assert results[part] == expected[part::4]
 
     def test_copies_start_unbuilt(self, fg2):
+        fresh = [pickle.loads(pickle.dumps(fg2)), copy_module.deepcopy(fg2)]
         assert nca.decide(fg2, word("a b B A")).accepted
-        for copy in (pickle.loads(pickle.dumps(fg2)), copy_module.deepcopy(fg2)):
-            assert copy == fg2 and copy._index.automaton.words == []
+        for copy in (pickle.loads(pickle.dumps(fg2)), copy_module.deepcopy(fg2), *fresh):
+            assert copy == fg2 and hash(copy) == hash(fg2) and type(copy) is NcaSystem
+            assert copy._index.automaton.words == []
             assert nca.decide(copy, word("a b B A")) == nca.decide(fg2, word("a b B A"))
 
     def test_equal_systems_keep_their_own(self):
