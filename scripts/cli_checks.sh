@@ -38,6 +38,18 @@ test "$(echo "$w" | wc -w)" -eq 20000
 $GCSL decide fixtures/fg2.nca "$w" --max-nodes 1
 rc=0; $GCSL decide fixtures/fg2.nca "${w% *}" --max-nodes 1 || rc=$?; test "$rc" -eq 1
 
+echo "== usage errors keep the full command list"
+tmp=$(mktemp -d -p "$work")
+# grep for the usage line's brace list alone: later Python 3.13 releases print
+# the invalid-choice message's choices without quotes
+commands='{validate,convert,decide,enumerate,equiv,trace}'
+rc=0; $GCSL decide fixtures/s3.nca "t s" extra 2> "$tmp/err" || rc=$?; test "$rc" -eq 2
+grep -qF "$commands" "$tmp/err"
+rc=0; $GCSL nosuch 2> "$tmp/err" || rc=$?; test "$rc" -eq 2
+grep -qF "$commands" "$tmp/err"
+$GCSL trace -h > "$tmp/help"
+grep -q -- --canonical "$tmp/help"
+
 echo "== gcsl enumerate and equiv, exact counts and exit codes"
 tmp=$(mktemp -d -p "$work")
 test "$($GCSL enumerate fixtures/s3.nca --max-len 4 | wc -l)" -eq 260

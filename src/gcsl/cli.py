@@ -175,58 +175,71 @@ def _add_max_len(p):
                    required=True, help="consider words of at most N letters")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("validate", "convert", "decide", "enumerate", "equiv", "trace")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``gcsl`` parser.  When ``command`` names a command, only its
+    subparser is built; any other value (None, ``-h``, a prefix) builds all
+    six.  The usage line lists all six either way."""
+    names = (command,) if command in _COMMANDS else _COMMANDS
     parser = argparse.ArgumentParser(
         prog="gcsl",
         description="Length-reducing rewriting systems, growing context-sensitive "
                     "grammars, conversions between them, and reduction traces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with all six, a metavar would rename "argument command" in the errors
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("validate", help="check a system file")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("convert", help="convert between system kinds")
-    p.add_argument("--to", required=True, choices=sorted(_CONVERSIONS),
-                   help="gcsg: a system to a standard grammar; nca: a grammar to a system; "
-                        "standard: compile a grammar's anchors away, returning a grammar "
-                        "with none unchanged; noterm: take terminals off left-hand sides")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_convert)
-
-    p = sub.add_parser("decide", help="decide membership of a word")
-    p.add_argument("file")
-    p.add_argument("word", help="whitespace-separated symbols, or _ for the empty word")
-    _add_max_nodes(p)
-    p.set_defaults(fn=cmd_decide)
-
-    p = sub.add_parser("enumerate", help="list the language up to a length bound")
-    p.add_argument("file")
-    _add_max_len(p)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("equiv", help="compare two systems' languages")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    _add_max_len(p)
-    p.set_defaults(fn=cmd_equiv)
-
-    p = sub.add_parser("trace", help="print a witness reduction history")
-    p.add_argument("file")
-    p.add_argument("word")
-    p.add_argument("--canonical", action="store_true",
-                   help="reorder independent substitutions left-first")
-    p.add_argument("--diagram", action="store_true",
-                   help="append the interval diagram")
-    _add_max_nodes(p)
-    p.set_defaults(fn=cmd_trace)
+    if "validate" in names:
+        p = sub.add_parser("validate", help="check a system file")
+        p.add_argument("file")
+        p.set_defaults(fn=cmd_validate)
+    if "convert" in names:
+        p = sub.add_parser("convert", help="convert between system kinds")
+        p.add_argument("--to", required=True, choices=sorted(_CONVERSIONS),
+                       help="gcsg: a system to a standard grammar; nca: a grammar to a system; "
+                            "standard: compile a grammar's anchors away, returning a grammar "
+                            "with none unchanged; noterm: take terminals off left-hand sides")
+        p.add_argument("file")
+        p.add_argument("-o", "--output")
+        p.set_defaults(fn=cmd_convert)
+    if "decide" in names:
+        p = sub.add_parser("decide", help="decide membership of a word")
+        p.add_argument("file")
+        p.add_argument("word", help="whitespace-separated symbols, or _ for the empty word")
+        _add_max_nodes(p)
+        p.set_defaults(fn=cmd_decide)
+    if "enumerate" in names:
+        p = sub.add_parser("enumerate", help="list the language up to a length bound")
+        p.add_argument("file")
+        _add_max_len(p)
+        p.set_defaults(fn=cmd_enumerate)
+    if "equiv" in names:
+        p = sub.add_parser("equiv", help="compare two systems' languages")
+        p.add_argument("file_a")
+        p.add_argument("file_b")
+        _add_max_len(p)
+        p.set_defaults(fn=cmd_equiv)
+    if "trace" in names:
+        p = sub.add_parser("trace", help="print a witness reduction history")
+        p.add_argument("file")
+        p.add_argument("word")
+        p.add_argument("--canonical", action="store_true",
+                       help="reorder independent substitutions left-first")
+        p.add_argument("--diagram", action="store_true",
+                       help="append the interval diagram")
+        _add_max_nodes(p)
+        p.set_defaults(fn=cmd_trace)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code.  Each call builds its own parser, for its command alone."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

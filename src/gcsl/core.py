@@ -42,11 +42,15 @@ def check_symbol(name: str) -> Symbol:
 
 
 def word(text: str) -> Word:
-    """Parse a whitespace-separated word; a single ``_`` is the empty word."""
+    """Parse a whitespace-separated word; a single ``_`` is the empty word.
+    Each distinct symbol is checked once, in order of first occurrence, so
+    an error names the first bad token of the word."""
     tokens = text.split()
     if tokens == [EMPTY_WORD_TOKEN]:
         return EPSILON
-    return tuple(check_symbol(t) for t in tokens)
+    for t in dict.fromkeys(tokens):
+        check_symbol(t)
+    return tuple(tokens)
 
 
 def word_str(w: Word) -> str:

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from gcsl import core
 from gcsl.core import (
     Alphabet,
     Anchor,
@@ -121,3 +124,23 @@ def test_word_round_trip():
 def test_alphabet_requires_terminal_subset():
     with pytest.raises(ValueError):
         Alphabet(frozenset({"a"}), frozenset({"b"}))
+
+
+def test_word_checks_each_distinct_symbol_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return check_symbol(name)
+
+    monkeypatch.setattr(core, "check_symbol", counting)
+    r = random.Random(1)
+    letters = [r.choice("aAbB") for _ in range(20000)]
+    assert word(" ".join(letters)) == tuple(letters)
+    assert sorted(calls) == ["A", "B", "a", "b"]
+
+
+@pytest.mark.parametrize("text, first", [("a #x b @y #x", "#x"), ("a @y b #x @y", "@y")])
+def test_word_names_the_first_bad_symbol(text, first):
+    with pytest.raises(ValueError, match=f"{first!r}$"):
+        word(text)

@@ -1,4 +1,6 @@
+import argparse
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -515,3 +517,79 @@ class TestCli:
                                   env=env, capture_output=True, check=True).stdout
 
         assert convert("0") == convert("1")
+
+
+_COMMANDS = ["validate", "convert", "decide", "enumerate", "equiv", "trace"]
+_PARITY_ARGV = [
+    [], ["-h"], ["--help"], ["nosuch"], ["dec"], ["-x"],
+    *([command, "-h"] for command in _COMMANDS),
+    # a missing argument, an extra argument, a bad value
+    ["validate"], ["validate", fx("s3.nca"), "extra"],
+    ["convert", fx("s3.nca")], ["convert", "--to", "gcsg", fx("s3.nca"), "extra"],
+    ["convert", "--to", "bogus", fx("s3.nca")],
+    ["decide", fx("s3.nca")], ["decide", fx("s3.nca"), "t s", "extra"],
+    ["decide", fx("s3.nca"), "t s", "--max-nodes", "0"],
+    ["enumerate", fx("s3.nca")], ["enumerate", fx("s3.nca"), "--max-len", "2", "extra"],
+    ["enumerate", fx("s3.nca"), "--max-len", "-1"],
+    ["equiv", fx("fg2.nca")], ["equiv", fx("fg2.nca"), fx("fg1.nca"), "extra", "--max-len", "2"],
+    ["equiv", fx("fg2.nca"), fx("fg1.nca"), "--max-len", "x"],
+    ["trace", fx("fg2.nca")], ["trace", fx("fg2.nca"), "a A", "extra"],
+    ["trace", fx("fg2.nca"), "a A", "--max-nodes", "x"],
+    # one valid run of each command
+    ["validate", fx("s3.nca")], ["convert", "--to", "gcsg", fx("fg2.nca")],
+    ["decide", fx("s3.nca"), "t s"], ["enumerate", fx("fg2.nca"), "--max-len", "2"],
+    ["equiv", fx("fg2.nca"), fx("fg1.nca"), "--max-len", "4"],
+    ["trace", fx("fg2.nca"), "a b B A", "--canonical", "--diagram"],
+]
+
+
+def _offered(parser):
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+class TestParser:
+    @pytest.mark.parametrize("columns", ["40", "100"])
+    @pytest.mark.parametrize("argv", _PARITY_ARGV,
+                             ids=lambda argv: " ".join(Path(a).name for a in argv))
+    def test_output_as_with_every_command_built(self, argv, columns, monkeypatch, capsys):
+        # help and usage wrap at $COLUMNS
+        monkeypatch.setenv("COLUMNS", columns)
+        got = (cli.main(argv), *capsys.readouterr())
+        build_all = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_all())
+        assert got == (cli.main(argv), *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nosuch"], "argument command: invalid choice"),
+        ([], "the following arguments are required: command"),
+        (["decide", fx("s3.nca"), "t s", "extra"], "unrecognized arguments: extra"),
+    ])
+    def test_usage_errors_list_every_command(self, argv, message, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "100")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gcsl [-h] {validate,convert,decide,enumerate,equiv,trace} ...")
+        assert message in err
+
+    def test_a_named_command_builds_only_its_own_parser(self):
+        assert _offered(cli.build_parser("decide")) == ["decide"]
+
+    @pytest.mark.parametrize("command", [None, "dec", "-h", "nosuch"])
+    def test_anything_else_builds_every_command(self, command):
+        assert _offered(cli.build_parser(command)) == _COMMANDS
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["gcsl", "validate", fx("fg2.nca")])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == "ok\n"
+
+    def test_long_word_exit_codes(self, capsys):
+        # as in scripts/cli_checks.sh: u then its inverse, and that word
+        # less its last letter, which breaks an exponent sum
+        r = random.Random(1)
+        u = [r.choice("aAbB") for _ in range(10000)]
+        w = u + [s.swapcase() for s in reversed(u)]
+        assert cli.main(["decide", fx("fg2.nca"), " ".join(w), "--max-nodes", "1"]) == 0
+        assert cli.main(["decide", fx("fg2.nca"), " ".join(w[:-1]), "--max-nodes", "1"]) == 1
+        assert capsys.readouterr().out == "accepted\nrejected\n"
