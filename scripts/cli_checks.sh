@@ -134,6 +134,19 @@ printf '%s\n' \
   'row 3: d[3,9/2) d[9/2,6)' '  line: [3,6) rule#1' \
   'row 4: _' | diff - "$tmp/diagram.txt"
 
+echo "== gcsl trace draws the canonical diagram of a 2 000-letter fg2 word on integer spans"
+tmp=$(mktemp -d -p "$work")
+w=$(python3 -c 'import random; r = random.Random(2); u = [r.choice("aAbB") for _ in range(1000)]; print(" ".join(u + [s.swapcase() for s in reversed(u)]))')
+test "$(echo "$w" | wc -w)" -eq 2000
+$GCSL trace fixtures/fg2.nca "$w" --canonical --diagram > "$tmp/diagram.txt"
+# 1 000 erasing events: 1 001 trace lines, then 1 001 rows and 1 000 lines
+test "$(grep -c ' | ' "$tmp/diagram.txt")" -eq 1001
+test "$(grep -c '^row \|^  line: ' "$tmp/diagram.txt")" -eq 2001
+test "$(wc -l < "$tmp/diagram.txt")" -eq 3002
+test "$(tail -n 1 "$tmp/diagram.txt")" = "row 1000: _"
+# a bare `grep` line never fails a step under `set -e`, so fail explicitly
+if grep -q / "$tmp/diagram.txt"; then exit 1; fi
+
 echo "== gcsl trace replays a grammar's witness on its reversed rules"
 tmp=$(mktemp -d -p "$work")
 $GCSL trace fixtures/anbn.gcsg "a a b b" --canonical > "$tmp/trace.txt"

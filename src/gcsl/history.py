@@ -2,9 +2,11 @@
 
 A history records one reduction as a list of substitution events with
 letter-level provenance: each event consumes a block of letters and
-produces fresh ones.  From the provenance we compute the diagram
-geometry (exact rational widths and horizontal intervals, generations,
-substitution lines) that :func:`gcsl.textio.format_diagram` draws, the
+produces fresh ones.  From the provenance we compute the spans that
+:func:`gcsl.textio.format_diagram` draws (each letter's horizontal
+interval and each substitution line, on ``int`` endpoints until an event
+splits its span unevenly), the exact diagram geometry built on them
+(``Fraction`` widths, intervals and lines, and generations), the
 precedence order between substitutions as a closure matrix, built in one
 pass that keeps each event's predecessors as an int bit set, swap moves
 between equivalent reductions (each event keeping its rule's anchor),
@@ -24,6 +26,8 @@ code builds that order as a graph.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import NamedTuple
 
 from .core import Anchor, Word, anchor_ok
@@ -75,24 +79,29 @@ class History:
         return f"History({', '.join(f'{n}={getattr(self, n)!r}' for n in History.__slots__)})"
 
 
+# an Event from a (rule index, position, consumed, produced) tuple, as nca._move builds a Move
+_event = functools.partial(tuple.__new__, Event)
+
+
 def from_moves(system: NcaSystem, start: Word, moves) -> History:
     """Build a history by replaying moves, ``Move``s or ``(rule, position)``
     pairs, checking legality at each step; produced letters get fresh ids."""
+    rules = system.rules
     row = list(range(len(start)))
     symbols = list(start)
     events = []
     for i, p in moves:
-        rule = system.rules[i] if 0 <= i < len(system.rules) else None
+        rule = rules[i] if 0 <= i < len(rules) else None
         k = len(rule.lhs) if rule is not None else 0
         consumed = tuple(row[p:p + k])
         if not (rule is not None and 0 <= p
                 and tuple(map(symbols.__getitem__, consumed)) == rule.lhs
-                and anchor_ok(rule.anchor, p, k, len(row))):
+                and (rule.anchor is Anchor.NONE or anchor_ok(rule.anchor, p, k, len(row)))):
             raise ValueError(f"illegal move {Move(i, p)} on {tuple(map(symbols.__getitem__, row))}")
         produced = tuple(range(len(symbols), len(symbols) + len(rule.rhs)))
         symbols.extend(rule.rhs)
         row[p:p + k] = produced
-        events.append(Event(i, p, consumed, produced))
+        events.append(_event((i, p, consumed, produced)))
     return History(system, tuple(start), tuple(events), tuple(symbols))
 
 
@@ -125,33 +134,54 @@ class Geometry(NamedTuple):
     lines: tuple[Interval, ...]         # per event: span of the consumed block
 
 
+def _spans(h: History) -> tuple[list, list]:
+    """Each letter's half-open interval, by letter id, and each event's
+    substitution line, as :func:`geometry` lays them out, in one pass.
+    Endpoints stay ``int`` while every split divides its span evenly; an
+    uneven split divides as a ``Fraction``, and only then is ``fractions``
+    imported.  Both print alike: ``str(4) == str(Fraction(4))``."""
+    n0 = len(h.start)
+    intervals: list = [*zip(range(n0), range(1, n0 + 1))] + [None] * (len(h.symbols) - n0)
+    lines = []
+    for _, _, consumed, produced in h.events:
+        line = intervals[consumed[0]][0], intervals[consumed[-1]][1]
+        lines.append(line)
+        k = len(produced)
+        if k == 1:
+            intervals[produced[0]] = line
+        elif k:
+            lo, hi = line
+            share, uneven = divmod(hi - lo, k)
+            if uneven:
+                from fractions import Fraction  # the first uneven split imports it
+                share = Fraction(hi - lo, k)
+            for j, lid in enumerate(produced):
+                intervals[lid] = lo + j * share, lo + (j + 1) * share
+    return intervals, lines
+
+
 def geometry(h: History) -> Geometry:
     """Exact diagram geometry.  Initial letters get unit width and
     consecutive unit intervals; the letters an event produces split the
     consumed block's span into equal parts, one generation deeper, and a
-    single produced letter takes the span itself."""
-    from fractions import Fraction  # imported only here, as it adds to every start-up
+    single produced letter takes the span itself.  Every width, endpoint
+    and line is a ``Fraction``: each distinct value of :func:`_spans`,
+    which :func:`gcsl.textio.format_diagram` draws, is converted once."""
+    from fractions import Fraction  # imported only here and at an uneven split
 
-    n0, rest = len(h.start), [None] * (len(h.symbols) - len(h.start))
-    ends = [Fraction(i) for i in range(n0 + 1)]
-    widths: list = [Fraction(1)] * n0 + rest
-    gens: list = [0] * n0 + rest
-    intervals: list = list(zip(ends, ends[1:])) + rest
-    lines: list[Interval] = []
-    for e in h.events:
-        lo = intervals[e.consumed[0]][0]
-        hi = intervals[e.consumed[-1]][1]
-        lines.append((lo, hi))
-        gen = 1 + max(gens[c] for c in e.consumed)
-        if len(e.produced) == 1:
-            (lid,) = e.produced
-            widths[lid], gens[lid], intervals[lid] = hi - lo, gen, (lo, hi)
-        elif e.produced:
-            share = (hi - lo) / len(e.produced)
-            for j, lid in enumerate(e.produced):
-                widths[lid], gens[lid] = share, gen
-                intervals[lid] = (lo + j * share, lo + (j + 1) * share)
-    return Geometry(tuple(widths), tuple(gens), tuple(intervals), tuple(lines))
+    intervals, lines = _spans(h)
+    gens = [0] * len(h.symbols)
+    for _, _, consumed, produced in h.events:
+        gen = 1 + max(map(gens.__getitem__, consumed))
+        for lid in produced:
+            gens[lid] = gen
+    los, his = zip(*intervals) if intervals else ((), ())
+    line_los, line_his = zip(*lines) if lines else ((), ())
+    widths = [*map(operator.sub, his, los)]
+    exact = {x: Fraction(x) for x in {*widths, *los, *his}}.__getitem__
+    return Geometry(tuple(map(exact, widths)), tuple(gens),
+                    tuple(zip(map(exact, los), map(exact, his))),
+                    tuple(zip(map(exact, line_los), map(exact, line_his))))
 
 
 def precedence(h: History) -> tuple[tuple[bool, ...], ...]:
@@ -212,7 +242,7 @@ def _canonical_moves(h: History) -> list[tuple[int, int]]:
     left-to-right replay: letters are pushed onto a stack one at a time, an
     event fires as soon as its consumed block is the top of the stack and
     its anchor holds, and the letters it produces are read next."""
-    rules = h.system.rules
+    anchors = [r.anchor for r in h.system.rules]
     waiting = {e.consumed[-1]: e for e in h.events}  # each letter is consumed once
     unread = list(range(len(h.start)))[::-1]  # next letter last
     stack: list[int] = []
@@ -223,7 +253,8 @@ def _canonical_moves(h: History) -> list[tuple[int, int]]:
             k = len(e.consumed)
             pos = len(stack) - k
             if (tuple(stack[pos:]) != e.consumed
-                    or not anchor_ok(rules[e.rule_index].anchor, pos, k, len(stack) + len(unread))):
+                    or (anchor := anchors[e.rule_index]) is not Anchor.NONE
+                    and not anchor_ok(anchor, pos, k, len(stack) + len(unread))):
                 break
             del waiting[e.consumed[-1]], stack[pos:]
             moves.append((e.rule_index, pos))

@@ -226,10 +226,11 @@ def format_trace(h) -> str:
 
 def format_diagram(h) -> str:
     """Rows of letters with their horizontal intervals, interleaved with
-    the substitution line spans."""
-    geo = history_mod.geometry(h)
-    cells = [f"{s}[{lo},{hi})" for s, (lo, hi) in zip(h.symbols, geo.intervals)]
-    lines = [f"\n  line: [{lo},{hi}) rule#{e.rule_index}"
-             for (lo, hi), e in zip(geo.lines, h.events)]
-    rows = enumerate(zip(_rows_text(h, cells), lines + [""]))
+    the substitution line spans, drawn from :func:`gcsl.history._spans`:
+    ``int`` endpoints while every split is even, so that ``fractions`` is
+    imported only for an uneven one."""
+    intervals, lines = history_mod._spans(h)
+    cells = [f"{s}[{lo},{hi})" for s, (lo, hi) in zip(h.symbols, intervals)]
+    texts = [f"\n  line: [{lo},{hi}) rule#{e.rule_index}" for (lo, hi), e in zip(lines, h.events)]
+    rows = enumerate(zip(_rows_text(h, cells), texts + [""]))
     return "".join(f"row {t}: {row}{line}\n" for t, (row, line) in rows)

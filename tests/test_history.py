@@ -153,6 +153,22 @@ class TestGeometry:
         assert g.intervals[d] == (0, Fraction(3, 2))
         assert g.intervals[e] == (Fraction(3, 2), 3)
 
+    # a three-way split of a four-letter span, then a merge of all or part of it
+    THIRDS = make([Rule(word("a b c d"), word("X X X")), Rule(word("X X X"), word("Z")),
+                   Rule(word("X X"), word("Y"))], terminals="a b c d", working="a b c d X Y Z")
+
+    @pytest.mark.parametrize("merge, text", [
+        ((1, 0), "  line: [0,4) rule#1\nrow 2: Z[0,4)\n"),  # 4 is Fraction(4), not 4/1
+        ((2, 0), "  line: [0,8/3) rule#2\nrow 2: Y[0,8/3) X[8/3,4)\n"),
+    ], ids=["whole", "part"])
+    def test_diagram_of_a_split_and_a_merge(self, merge, text):
+        h = history.from_moves(self.THIRDS, word("a b c d"), [(0, 0), merge])
+        assert type(history._spans(h)[0][-1][1]) is Fraction  # the merged letter's end
+        assert textio.format_diagram(h) == (
+            "row 0: a[0,1) b[1,2) c[2,3) d[3,4)\n"
+            "  line: [0,4) rule#0\n"
+            "row 1: X[0,4/3) X[4/3,8/3) X[8/3,4)\n" + text)
+
     def test_width_conservation_without_erasing(self, pair_system):
         h = history.from_moves(
             pair_system, word("a a b b a b"), [(0, 4), (0, 1), (1, 0)]
@@ -489,6 +505,15 @@ class TestRankedOrder:
             if len(e.produced) == 1:
                 (lid,) = e.produced
                 assert geo.intervals[lid] == line and geo.widths[lid] == line[1] - line[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(histories())
+    def test_spans_are_exact_and_equal_geometry(self, h):
+        intervals, lines = history._spans(h)
+        geo = history.geometry(h)
+        ends = [x for lo_hi in intervals + lines for x in lo_hi]
+        assert not any(type(x) is float for x in ends)
+        assert intervals + lines == [*geo.intervals, *geo.lines]
 
     def test_strategy_draws_an_empty_start_and_one_letter_productions(self):
         find(histories(), lambda h: not h.start, settings=settings(database=None))

@@ -41,6 +41,30 @@ def test_start_up_imports_no_heavy_module():
     assert out.splitlines() == ["", "True"]
 
 
+# a diagram whose splits all divide evenly draws on int endpoints alone
+DIAGRAMS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from gcsl import history, textio
+from gcsl.core import word
+from gcsl.nca import NcaSystem, Rule
+fg2, s3 = (textio.parse_system(open(f, encoding="utf-8").read()) for f in sys.argv[2:])
+textio.format_diagram(history.from_moves(fg2, word("a b B A"), [(2, 1), (0, 0)]))
+textio.format_diagram(history.from_moves(s3, word("e t s"), [(9, 1), (0, 0)]))
+print("fractions" in sys.modules)
+split = NcaSystem(fg2.alphabet, (Rule(word("a b B"), word("A A")),))
+textio.format_diagram(history.from_moves(split, word("a b B"), [(0, 0)]))
+print("fractions" in sys.modules)
+"""
+
+
+def test_only_an_uneven_split_imports_fractions():
+    argv = [sys.executable, "-I", "-S", "-c", DIAGRAMS, str(SRC),
+            str(FIXTURES / "fg2.nca"), str(FIXTURES / "s3.nca")]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.splitlines() == ["False", "True"]
+
+
 @pytest.fixture
 def fg2_history(fg2):
     return history.from_moves(fg2, word("a b B A"), nca.decide(fg2, word("a b B A")).witness)
