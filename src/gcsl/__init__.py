@@ -7,11 +7,10 @@ from .core import (
 )
 from .grammar import Grammar, Production
 from .nca import Budget, Decision, Move, NcaSystem, Rule, Status
-from .transforms import deanchor, eliminate_terminals, gcsg_to_nca, nca_to_gcsg
+from .transforms import deanchor, gcsg_to_nca, nca_to_gcsg
 
 __all__ = [
     "Alphabet", "Anchor", "Symbol", "ValidationError", "Word", "splice", "word",
     "word_str", "Grammar", "Production", "Budget", "Decision", "Move",
-    "NcaSystem", "Rule", "Status", "deanchor", "eliminate_terminals",
-    "gcsg_to_nca", "nca_to_gcsg",
+    "NcaSystem", "Rule", "Status", "deanchor", "gcsg_to_nca", "nca_to_gcsg",
 ]

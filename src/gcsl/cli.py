@@ -63,7 +63,6 @@ _CONVERSIONS = {
     "nca": (Grammar, transforms.gcsg_to_nca),
     "gcsg": (NcaSystem, transforms.nca_to_gcsg),
     "standard": (Grammar, transforms.deanchor),
-    "noterm": (Grammar, transforms.eliminate_terminals),
 }
 
 
@@ -201,7 +200,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--to", required=True, choices=sorted(_CONVERSIONS),
                        help="gcsg: a system to a standard grammar; nca: a grammar to a system; "
                             "standard: compile a grammar's anchors away, returning a grammar "
-                            "with none unchanged; noterm: take terminals off left-hand sides")
+                            "with none unchanged")
         p.add_argument("file")
         p.add_argument("-o", "--output")
         p.set_defaults(fn=cmd_convert)

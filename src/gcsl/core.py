@@ -1,7 +1,7 @@
 """Symbols, words, alphabets, and the anchor-aware substring matcher.
 
 Symbols are plain strings (multi-character names are fine, so decorated
-symbols like ``~x`` or ``^x^`` are first class).  Words are tuples of
+symbols like ``^x`` or ``^x^`` are first class).  Words are tuples of
 symbols; the empty tuple is the empty word.  In all textual I/O the
 reserved token ``_`` stands for the empty word.
 """

@@ -7,13 +7,14 @@ depth-first search with a memo set of dead words is exhaustive and
 terminates.  :func:`decide` tries four steps in order: a shared memo of
 dead words; one deterministic left-to-right pass, Goodman and Shapiro's
 Cannon's algorithm, which accepts many words in linear time with one step
-per letter of a keyword automaton over the left-hand sides, whose states
-are built on first use and held by the system's rule index; a test that
+per letter of a keyword automaton over the left-hand sides; a test that
 rejects a word whose letter counts, once the pass stops, lie outside the
 lattice the rules span, since every rule moves them by one of its rows;
 and the search, which decides whatever is left.  Read right to left, the
 rules generate the accepted words from the empty word:
-:func:`enumerate_language` computes that closure, for grammars too.
+:func:`enumerate_language` computes that closure, for grammars too.  The
+pass, the search and enumeration find left-hand sides with the same
+automaton, whose states are built on first use and held by a rule index.
 """
 
 from __future__ import annotations
@@ -66,38 +67,38 @@ class Move(NamedTuple):
 _move = functools.partial(tuple.__new__, Move)
 
 
-class PassAutomaton:
+class LhsAutomaton:
     """The keyword automaton of a rule tuple's left-hand sides (Aho and
-    Corasick, CACM 1975), which the deterministic pass (:func:`_greedy`)
-    walks one step per letter.  A state, numbered by an int, is the longest
-    suffix of the pass's stack that is a prefix of some left-hand side;
+    Corasick, CACM 1975), the one left-hand-side matcher: the deterministic
+    pass (:func:`_greedy`) walks it one step per pushed letter, and move
+    generation (:func:`_derive`), which enumeration uses too, walks it over
+    stretches of a word.  A state, numbered by an int, is the longest
+    suffix of the letters walked that is a prefix of some left-hand side;
     ``words`` holds these prefixes, the empty one first.  Every left-hand
-    side that ends the stack also ends its state's prefix, so
-    ``candidates`` lists, per state, the rewrites that may apply at the top
-    of the stack, in the pass's order: longest first, anchored before
-    unanchored at equal length, lowest index first, and ending at the first
-    unanchored one, which always applies.  Each is a (rule index, anchor,
-    left-hand-side length, right-hand side reversed) tuple.
+    side that ends the letters walked also ends its state's prefix, so
+    ``candidates`` lists, per state, every rewrite whose left-hand side
+    ends there, in the pass's order: longest first, anchored before
+    unanchored at equal length, lowest index first.  Each is a (rule
+    index, anchor, left-hand-side length, right-hand side reversed) tuple.
 
-    The first pass reads every left-hand side once, into ``own``, which
+    The first walk reads every left-hand side once, into ``own``, which
     maps each prefix of one to the rewrites of that left-hand side alone.
-    After that a state is built the first time the pass reaches it, and
+    After that a state is built the first time a walk reaches it, and
     ``step`` maps each state's letters seen so far to the next state.
     States and transitions are added under ``lock``, and a transition only
-    once its state is whole, so passes in several threads can share one
+    once its state is whole, so walks in several threads can share one
     automaton."""
 
-    __slots__ = ("rules", "by_len", "lock", "words", "own", "ids", "candidates", "step")
+    __slots__ = ("rules", "lock", "words", "own", "ids", "candidates", "step")
 
-    def __init__(self, rules, by_len):
+    def __init__(self, rules):
         self.rules = rules
-        self.by_len = by_len
         self.lock = threading.Lock()  # held while a state or a transition is added
         self.words: list = []  # the other tables are made with state 0
 
     def __reduce__(self):
         # a copy or a pickle starts with no states, as the lock cannot be copied
-        return PassAutomaton, (self.rules, self.by_len)
+        return LhsAutomaton, (self.rules,)
 
     def start(self) -> None:
         """Build ``own`` and state 0, the empty prefix, unless built.  No
@@ -106,23 +107,20 @@ class PassAutomaton:
             if not self.words:
                 rules = self.rules
                 own = {(): ()}
-                for k, anchored, free in self.by_len:
-                    for lhs, hits in anchored.items():
-                        own[lhs] = tuple((i, anchor, k, rules[i].rhs[::-1]) for i, anchor in hits)
-                    for lhs, hits in free.items():
-                        i = hits[0]
-                        own[lhs] = own.get(lhs, ()) + ((i, Anchor.NONE, k, rules[i].rhs[::-1]),)
-                for lhs in list(own):
+                # a stable sort puts the anchored rules first, each in index order
+                for i in sorted(range(len(rules)), key=lambda i: rules[i].anchor is Anchor.NONE):
+                    lhs, rhs, anchor = rules[i]
+                    own[lhs] = own.get(lhs, ()) + ((i, anchor, len(lhs), rhs[::-1]),)
                     for j in range(1, len(lhs)):
                         own.setdefault(lhs[:j], ())
                 self.own = own
                 self.ids = {(): 0}
                 self.candidates = [()]
                 self.step = [{}]
-                self.words.append(())  # last: a pass that finds state 0 finds all of it
+                self.words.append(())  # last: a walk that finds state 0 finds all of it
 
     def follow(self, state: int, letter) -> int:
-        """The state after ``letter`` is pushed in ``state``: the longest
+        """The state after ``letter`` is read in ``state``: the longest
         suffix of its prefix and ``letter`` that is a prefix itself, built
         if it is new."""
         self.lock.acquire()  # not a with block, which costs twice as much
@@ -135,11 +133,7 @@ class PassAutomaton:
             if nxt is None:
                 out = ()
                 for j in range(len(prefix)):  # the suffixes, longest first
-                    rewrites = own.get(prefix[j:])
-                    if rewrites:
-                        out += rewrites
-                        if rewrites[-1][1] is Anchor.NONE:
-                            break
+                    out += own.get(prefix[j:], ())
                 nxt = len(self.words)
                 self.candidates.append(out)
                 self.step.append({})
@@ -150,38 +144,41 @@ class PassAutomaton:
             self.lock.release()
         return nxt
 
+    def walk(self, w: Word) -> list:
+        """The candidates of the state after each letter of ``w``, walked
+        from state 0: those after ``w[j]`` are the rewrites whose windows
+        in ``w`` end at ``j + 1``."""
+        if not self.words:
+            self.start()
+        step, candidates, follow = self.step, self.candidates, self.follow
+        state = 0
+        found = []
+        for letter in w:
+            nxt = step[state].get(letter)
+            state = follow(state, letter) if nxt is None else nxt
+            found.append(candidates[state])
+        return found
+
 
 class RuleIndex(NamedTuple):
-    """A rule tuple indexed by left-hand side.  ``by_len`` pairs each
-    left-hand-side length ``k``, longest first, with two tables: one maps
-    each anchored left-hand side of length ``k`` to the indices of the
-    rules that have it, each paired with its anchor, and the other maps
-    each unanchored one to the indices of its rules.  A table is empty
-    when no rule of that kind has length ``k``.  ``free_len`` holds each
-    rule's left-hand-side length if it is unanchored and 0 if not.
-    ``automaton`` belongs to this index alone and starts with no states."""
+    """A rule tuple and its :class:`LhsAutomaton`, which belongs to this
+    index alone and starts with no states.  ``free_len`` holds each rule's
+    left-hand-side length if it is unanchored and 0 if not; ``reach`` is
+    the longest unanchored left-hand side and ``ends`` the longest
+    anchored one, 0 when there is none."""
 
     rules: tuple[Rule, ...]
     free_len: tuple[int, ...]
-    by_len: tuple[tuple[int, dict, dict], ...]
-    automaton: PassAutomaton
+    reach: int
+    ends: int
+    automaton: LhsAutomaton
 
 
 def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
     """Index ``rules`` by left-hand side."""
-    free: dict = {}
-    anchored: dict = {}
-    for i, r in enumerate(rules):
-        if r.anchor is Anchor.NONE:
-            table = free.setdefault(len(r.lhs), {})
-            table[r.lhs] = table.get(r.lhs, ()) + (i,)
-        else:
-            table = anchored.setdefault(len(r.lhs), {})
-            table[r.lhs] = table.get(r.lhs, ()) + ((i, r.anchor),)
     free_len = tuple(len(r.lhs) if r.anchor is Anchor.NONE else 0 for r in rules)
-    by_len = tuple((k, anchored.get(k, {}), free.get(k, {}))
-                   for k in sorted(free.keys() | anchored.keys(), reverse=True))
-    return RuleIndex(rules, free_len, by_len, PassAutomaton(rules, by_len))
+    ends = max((len(r.lhs) for r in rules if r.anchor is not Anchor.NONE), default=0)
+    return RuleIndex(rules, free_len, max(free_len, default=0), ends, LhsAutomaton(rules))
 
 
 class NcaSystem(NamedTuple("NcaSystem", [("alphabet", Alphabet), ("rules", tuple)])):
@@ -289,41 +286,11 @@ def _validate(sys: NcaSystem) -> list[str]:
     return violations
 
 
-def _scan(by_len, w: Word, lo: int, hi: int, out: list) -> None:
-    """Append to ``out`` the unanchored moves of ``w`` whose windows meet
-    ``w[lo:hi]``, or cross the gap before ``lo`` when ``lo == hi``: one
-    dict lookup per window of each left-hand-side length."""
-    n = len(w)
-    for k, _, table in by_len:
-        if not table:
-            continue
-        get = table.get
-        for pos in range(max(lo - k + 1, 0), min(hi, n - k + 1)):
-            hits = get(w[pos:pos + k])
-            if hits:
-                for i in hits:
-                    out.append((i, pos))
-
-
-def _ends(by_len, w: Word, out: list) -> None:
-    """Append to ``out`` the anchored moves of ``w``: an anchored window
-    starts at 0 or ends at ``len(w)``, so two lookups per length suffice."""
-    n = len(w)
-    for k, table, _ in by_len:
-        if k > n or not table:
-            continue
-        for pos in (0, n - k) if k < n else (0,):
-            for i, anchor in table.get(w[pos:pos + k], ()):
-                if anchor_ok(anchor, pos, k, n):
-                    out.append((i, pos))
-
-
 def _moves(index: RuleIndex, w: Word) -> list[tuple[int, int]]:
-    """All applicable (rule, position) pairs, in lexicographic order: one
-    dict lookup per window of each unanchored left-hand-side length, and
-    two per anchored one.  The pairs are plain tuples, as building a
-    :class:`Move` costs many times more; :func:`legal_moves` and search
-    witnesses wrap them."""
+    """All applicable (rule, position) pairs, in lexicographic order, from
+    walks of the index's automaton over ``w``.  The pairs are plain
+    tuples, as building a :class:`Move` costs many times more;
+    :func:`legal_moves` and search witnesses wrap them."""
     return _derive(index, (), w, 0, 0, len(w))
 
 
@@ -333,10 +300,16 @@ def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
     ``moves`` of its parent, in any order, which ``child`` is with the
     ``lhs_len`` letters at ``p`` replaced by ``rhs_len`` letters.  Moves
     of unanchored rules whose windows lie left of the replaced letters
-    are kept, those right of them shift by ``rhs_len - lhs_len``, and only
-    the windows that meet the new letters, or the gap where the old ones
-    were, are looked up.  Anchored moves are looked up afresh at the two
-    ends, since a shorter word can bring a kept window to either end."""
+    are kept, and those right of them shift by ``rhs_len - lhs_len``.  The
+    windows that meet the new letters, or cross the gap where the old ones
+    were, lie within ``index.reach - 1`` letters of them, so the automaton
+    is walked from state 0 over that stretch alone.  A state lists its
+    rewrites longest first, so their windows start left to right, and the
+    first that starts at or after the new letters' end ends the list.
+    Anchored moves are read afresh at the two ends, since a shorter word
+    can bring a kept window to either end: from one walk over the first
+    ``index.ends`` letters and the last ones joined, or over the whole
+    word when it has at most twice that many."""
     free_len = index.free_len
     right = p + lhs_len  # parent windows from here on lie right of the splice
     shift = rhs_len - lhs_len
@@ -349,8 +322,29 @@ def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
                 out.append(m)
             elif q >= right:
                 out.append((i, q + shift))
-    _scan(index.by_len, child, p, p + rhs_len, out)
-    _ends(index.by_len, child, out)
+    n = len(child)
+    reach, ends = index.reach, index.ends
+    walk = index.automaton.walk
+    unanchored = Anchor.NONE
+    if reach:
+        new_end = p + rhs_len
+        lo = max(p - reach + 1, 0)
+        # the windows found after letter j - 1 end at j: only those ending after p count
+        for j, found in enumerate(walk(child[lo:new_end + reach - 1])[p - lo:], p + 1):
+            for i, anchor, k, _ in found:
+                if j - k >= new_end:
+                    break
+                if anchor is unanchored:
+                    out.append((i, j - k))
+    if ends:
+        # no window across the seam of the two ends passes an anchor check
+        # in rim, and one that ends rim ends the word
+        rim = child if n <= 2 * ends else child[:ends] + child[n - ends:]
+        rim_len = len(rim)
+        for j, found in enumerate(walk(rim), 1):
+            for i, anchor, k, _ in found:
+                if anchor is not unanchored and anchor_ok(anchor, j - k, k, rim_len):
+                    out.append((i, j - k if j < rim_len else n - k))
     out.sort()
     return out
 
@@ -453,10 +447,13 @@ def _greedy(index: RuleIndex, w: Word) -> tuple[list[tuple[int, int]], Word]:
     of them, needs no budget, and returns its moves and the word it stopped
     at: when that is the empty word, the moves are a witness.
 
-    The pass walks ``index.automaton`` (:class:`PassAutomaton`), one step
+    The pass walks ``index.automaton`` (:class:`LhsAutomaton`), one step
     per pushed letter, and keeps the state after each prefix of the stack,
     so a rewrite at ``pos`` goes back to the state stored there.  A state
-    is built the first time the pass reaches it, and the index keeps it."""
+    lists every rewrite whose left-hand side ends the stack, in the pass's
+    order, and an unanchored one always applies, so the first that applies
+    is the pass's choice.  A state is built the first time a walk reaches
+    it, and the index keeps it."""
     automaton = index.automaton
     if not automaton.words:
         automaton.start()
@@ -533,6 +530,7 @@ def enumerate_language(sys: NcaSystem, max_len: int) -> set[Word]:
         raise ValueError(f"max_len {max_len} exceeds enumeration guard {ENUMERATION_GUARD}")
     if max_len < 0:
         return set()
+    unanchored = Anchor.NONE
     seen: set[Word] = {()}
     out = {()}
     todo = [((), 0)]  # words to extend, each with its non-terminal count
@@ -543,11 +541,12 @@ def enumerate_language(sys: NcaSystem, max_len: int) -> set[Word]:
             m, cc = n + grow, c + dc
             if m > max_len or m == max_len and cc:
                 continue
-            moves: list = []
-            _scan(index.by_len, w, 0, n, moves)
-            _ends(index.by_len, w, moves)
+            # one walk over the whole word: the windows found after w[j - 1] end at j
             rules = index.rules
-            children = [w[:p] + rules[i].rhs + w[p + len(rules[i].lhs):] for i, p in moves]
+            children = [w[:j - k] + rules[i].rhs + w[j:]
+                        for j, found in enumerate(index.automaton.walk(w) if rules else (), 1)
+                        for i, anchor, k, _ in found
+                        if anchor is unanchored or anchor_ok(anchor, j - k, k, n)]
             # an anchored insert can only land at an end of the word
             children += [w[:p] + u + w[p:] for u, anchor in inserts
                          for p in (range(n + 1) if anchor is Anchor.NONE else {0, n})

@@ -1,9 +1,7 @@
 """Constructive conversions between grammars and rewriting systems.
 
-Four language-preserving constructions:
+Three language-preserving constructions:
 
-* :func:`eliminate_terminals` — rewrite a grammar so that no terminal
-  occurs in any production lhs, by doubling terminals with tilde twins.
 * :func:`deanchor` — compile anchored productions away in one pass: one
   marking function carets every symbol but the start at the word ends, and
   each production is copied once for each end context its anchor allows; a
@@ -24,7 +22,6 @@ from . import nca
 from .grammar import Grammar, Production
 from .nca import NcaSystem
 
-TILDE = "~"
 CARET = "^"
 
 
@@ -43,32 +40,6 @@ def _fresh_or_die(new_names, existing):
     clash = sorted(set(new_names) & set(existing))
     if clash:
         raise ValueError(f"decorated symbol names collide with existing symbols: {clash}")
-
-
-def eliminate_terminals(g: Grammar) -> Grammar:
-    """Language-equal grammar whose production left hand sides contain no
-    terminals.  Each terminal gains a tilde-decorated nonterminal twin;
-    every rhs terminal occurrence is optionally replaced, so a production
-    with k terminal occurrences on the right becomes 2^k productions.
-    More than :data:`nca.MAX_MEMO` of them in all raise
-    :class:`nca.BudgetExceededError` before any is built."""
-    terminals = g.terminals
-    twins = {x: TILDE + x for x in terminals}
-    _fresh_or_die(twins.values(), g.alphabet)
-    _check_count(sum(2 ** sum(s in terminals for s in p.rhs) for p in g.productions))
-
-    productions = []
-    for p in g.productions:
-        lhs = tuple(twins.get(s, s) for s in p.lhs)
-        choices = [(s, twins[s]) if s in terminals else (s,) for s in p.rhs]
-        for rhs in itertools.product(*choices):
-            productions.append(Production(lhs, rhs, p.anchor))
-    return Grammar(
-        nonterminals=g.nonterminals | frozenset(twins.values()),
-        terminals=terminals,
-        start=g.start,
-        productions=tuple(productions),
-    )
 
 
 def deanchor(g: Grammar) -> Grammar:

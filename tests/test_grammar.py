@@ -242,7 +242,6 @@ class TestMember:
         for w in (word("a b"), word("a a b"), ()):
             grammar.member(g, w)
         grammar.generate_language(g, 4)
-        transforms.eliminate_terminals(g)
         transforms.gcsg_to_nca(g)
         assert sum(c is g for c in calls) == 1
 

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from gcsl import grammar, history, nca, textio
 from gcsl.core import Alphabet, Anchor, word
@@ -594,8 +594,9 @@ class TestEquivalentAgainstReferences:
 
     @pytest.mark.parametrize("outcome", [True, False])
     def test_anchored_pairs_draw_both_outcomes(self, outcome):
+        # an example found is enough: shrinking it would take nearly all the time
         find(anchored_pairs(), lambda pair: history.equivalent(*pair) is outcome,
-             settings=settings(database=None))
+             settings=settings(database=None, phases=[Phase.generate]))
 
 
 def precedence_reference(h):

@@ -150,7 +150,7 @@ def _with_conversions(system):
     """``system`` and the systems each conversion that accepts it builds."""
     if isinstance(system, NcaSystem):
         return [system, transforms.nca_to_gcsg(system)]
-    converted = [system, transforms.deanchor(system), transforms.eliminate_terminals(system)]
+    converted = [system, transforms.deanchor(system)]
     if Production((system.start,), ()) in system.productions:
         converted.append(transforms.gcsg_to_nca(system))
     return converted
@@ -468,8 +468,7 @@ class TestCli:
         assert cli.main(["decide", str(out), "a a a b"]) == 1
         assert capsys.readouterr().out == "accepted\nrejected\n"
 
-    @pytest.mark.parametrize("to, fn", [("standard", transforms.deanchor),
-                                        ("noterm", transforms.eliminate_terminals)])
+    @pytest.mark.parametrize("to, fn", [("standard", transforms.deanchor)])
     @pytest.mark.parametrize("fixture", ["anbn.gcsg", "left_anchor.egcsg",
                                          "right_anchor.egcsg", "both_anchor.egcsg"])
     def test_convert_grammar_targets(self, to, fn, fixture, tmp_path, capsys):
@@ -503,7 +502,7 @@ class TestCli:
 
     @pytest.mark.parametrize("fixture, to", [
         ("s3.nca", "gcsg"), ("right_anchor.nca", "gcsg"),
-        ("left_anchor.egcsg", "standard"), ("anbn.gcsg", "noterm"),
+        ("left_anchor.egcsg", "standard"),
     ])
     def test_convert_output_does_not_depend_on_the_hash_seed(self, fixture, to):
         # rule lines follow construction order, so a construction that

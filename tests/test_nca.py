@@ -187,6 +187,30 @@ class TestDerivedMoves:
         ([Rule(("a",), ()), Rule(("a", "b"), (), Anchor.BOTH)], "a b", (0, 0), []),
         # a window across the seam of an erasure
         ([Rule(("a", "c", "b"), ()), Rule(("a", "b"), ())], "a a c b b", (0, 1), [(1, 0)]),
+        # children of 2A and 2A + 1 letters, A = 2 the longest anchored
+        # left-hand side: one walk over the whole word, then one over the
+        # first A letters and the last A joined
+        *(([Rule(("a",), ()), Rule(("b", "b"), (), anchor)], w, move, child_moves)
+          for anchor, w, move, child_moves in [
+              (Anchor.LEFT, "a b b a b", (0, 0), [(0, 2), (1, 0)]),
+              (Anchor.LEFT, "a b b a b b", (0, 0), [(0, 2), (1, 0)]),
+              (Anchor.RIGHT, "b a b b a", (0, 4), [(0, 1), (1, 2)]),
+              (Anchor.RIGHT, "b b a b b a", (0, 5), [(0, 2), (1, 3)]),
+              (Anchor.BOTH, "a b b", (0, 0), [(1, 0)]),
+              (Anchor.BOTH, "a b b b b", (0, 0), []),
+              (Anchor.BOTH, "a b b a b b", (0, 0), [(0, 2)]),
+          ]),
+        # every anchor at once: each end window is found once
+        *(([Rule(("a",), ()), Rule(("b", "b"), (), Anchor.LEFT),
+            Rule(("b", "b"), (), Anchor.RIGHT), Rule(("b", "b"), (), Anchor.BOTH)],
+           w, (0, 0), child_moves)
+          for w, child_moves in [("a b b", [(1, 0), (2, 0), (3, 0)]),
+                                 ("a b b b b", [(1, 0), (2, 2)]),
+                                 ("a b b b b b", [(1, 0), (2, 3)])]),
+        # b c across the seam of the joined ends is no anchored window
+        ([Rule(("a",), ()), Rule(("b", "c"), (), Anchor.LEFT),
+          Rule(("b", "c"), (), Anchor.RIGHT), Rule(("b", "c"), (), Anchor.BOTH)],
+         "a x b a c x", (0, 0), [(0, 2)]),
     ])
     def test_splices_at_the_ends_and_across_a_seam(self, rules, w, move, child_moves):
         index = nca.index_rules(tuple(rules))
@@ -195,6 +219,16 @@ class TestDerivedMoves:
         assert move in moves
         child, derived = derive_step(index, w, moves, move)
         assert derived == nca._moves(index, child) == child_moves
+
+    def test_no_rules_no_walk(self, fg2):
+        # fg2's rules all erase, so its one growing group has no rules, only
+        # inserts: it lists no moves, and its automaton gets no state
+        ((_, _, index, _),) = fg2._growing
+        assert index.rules == ()
+        for w in (word("a"), word("a b A B"), word("a b A B a")):
+            assert nca._moves(index, w) == []
+            assert nca._derive(index, [], w, 0, 1, 1) == []
+        assert index.automaton.words == []
 
     @pytest.mark.parametrize("shuffled", [False, True])
     @settings(max_examples=150, deadline=None)
@@ -352,11 +386,29 @@ def every_system(max_len, s3_len):
     ]
 
 
+def per_length_tables(rules):
+    """Each left-hand-side length ``k``, longest first, with a table of the
+    anchored left-hand sides of length ``k``, each mapped to its rules'
+    (index, anchor) pairs, and one of the unanchored ones, each mapped to
+    its rules' indices: the rule index before the left-hand-side automaton."""
+    free, anchored = {}, {}
+    for i, r in enumerate(rules):
+        if r.anchor is Anchor.NONE:
+            table = free.setdefault(len(r.lhs), {})
+            table[r.lhs] = table.get(r.lhs, ()) + (i,)
+        else:
+            table = anchored.setdefault(len(r.lhs), {})
+            table[r.lhs] = table.get(r.lhs, ()) + ((i, r.anchor),)
+    return [(k, anchored.get(k, {}), free.get(k, {}))
+            for k in sorted(free.keys() | anchored.keys(), reverse=True)]
+
+
 def reference_pass(index, w):
     """The deterministic pass before the left-hand-side automaton, kept as
     the oracle: after each push, and after each erase, one slice and two
     dict lookups per left-hand-side length, longest first."""
     rules = index.rules
+    by_len = per_length_tables(rules)
     stack = []
     unread = list(reversed(w))
     moves = []
@@ -365,7 +417,7 @@ def reference_pass(index, w):
         while True:
             top = len(stack)
             hit = None
-            for k, anchored, free in index.by_len:
+            for k, anchored, free in by_len:
                 if k > top:
                     continue
                 pos = top - k
@@ -391,6 +443,31 @@ def reference_pass(index, w):
     return moves, tuple(stack)
 
 
+def in_four_threads(index, f, words):
+    """``f(index, w)`` for each of ``words``, from four threads that share
+    ``index`` and switch as often as the interpreter allows; checks that
+    every state of the automaton they build keeps its own number."""
+    results = {}
+
+    def run(part):
+        results[part] = [f(index, w) for w in words[part::4]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(part,)) for part in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    automaton = index.automaton
+    assert [automaton.ids[u] for u in automaton.words] == list(range(len(automaton.words)))
+    return [results[j % 4][j // 4] for j in range(len(words))]
+
+
 class TestPassAutomaton:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(shortening_rules("ab"), min_size=1, max_size=10).map(tuple),
@@ -409,30 +486,40 @@ class TestPassAutomaton:
                 assert nca._greedy(index, w) == reference_pass(index, w), w
 
     def test_candidates_in_pass_order(self):
-        # at equal length the anchored rules come first, lowest index first,
-        # then the first unanchored one; nothing after it can apply
+        # a state lists every rewrite whose left-hand side ends its prefix:
+        # longest first, the anchored ones first at equal length, lowest
+        # index first; the pass takes the first that applies
         index = nca.index_rules((
             Rule(word("b"), ()), Rule(word("a b"), ()), Rule(word("a b"), word("c")),
             Rule(word("a b"), (), Anchor.RIGHT), Rule(word("a b"), (), Anchor.LEFT)))
         automaton = index.automaton
         assert automaton.words == []
-        nca._greedy(index, word("a b"))
+        # inside the word neither anchor holds, and rule 1 goes before rule 2;
+        # then a b is the whole word, and the right anchor goes first
+        assert nca._greedy(index, word("a a b b")) == ([(1, 1), (3, 0)], ())
         state = automaton.ids[word("a b")]
         assert automaton.candidates[state] == (
-            (3, Anchor.RIGHT, 2, ()), (4, Anchor.LEFT, 2, ()), (1, Anchor.NONE, 2, ()))
+            (3, Anchor.RIGHT, 2, ()), (4, Anchor.LEFT, 2, ()), (1, Anchor.NONE, 2, ()),
+            (2, Anchor.NONE, 2, ("c",)), (0, Anchor.NONE, 1, ()))
 
     def test_unbuilt_outside_the_pass(self, monkeypatch):
+        # enumeration walks the automata of the system's own growing
+        # indexes; it, conversion and serialization build no other
         indexes = []
         index_rules = nca.index_rules
         monkeypatch.setattr(nca, "index_rules",
                             lambda rules: indexes.append(index_rules(rules)) or indexes[-1])
+        growing = []
         for name in ("s3.nca", "right_anchor.nca"):
             system = load(name)
             nca.enumerate_language(system, 3)
+            growing += [index.automaton for _, _, index, _ in system._growing]
             g = transforms.nca_to_gcsg(system)
             textio.serialize_system(g)
             textio.serialize_system(system)
-        assert indexes and all(ix.automaton.words == [] for ix in indexes)
+        assert any(automaton.words for automaton in growing)
+        assert all(ix.automaton.words == [] for ix in indexes if ix.automaton not in growing)
+        assert system._index.automaton.words == []
         nca.decide(system, word("a b"))
         assert system._index.automaton.words
 
@@ -453,28 +540,28 @@ class TestPassAutomaton:
                                     for _ in range(600)))
         words = [tuple(rng.choices("abcdefgh", k=40)) for _ in range(400)]
         expected = [reference_pass(nca.index_rules(rules), w) for w in words]
-        interval = sys.getswitchinterval()
         for _ in range(10):
-            index = nca.index_rules(rules)
-            results = {}
+            assert in_four_threads(nca.index_rules(rules), nca._greedy, words) == expected
 
-            def run(part):
-                results[part] = [nca._greedy(index, w) for w in words[part::4]]
+    def test_threads_share_one_automaton_in_the_search(self):
+        # the same for the search's walks: four threads list the moves of
+        # words and search them on one fresh index, whose anchored rules
+        # make the end walks run too; each matches one thread and the scan
+        rng = random.Random(1)
+        rules = tuple(dict.fromkeys(
+            Rule(tuple(rng.choices("abcdef", k=rng.randint(2, 5))),
+                 tuple(rng.choices("abcdef", k=rng.randint(0, 1))), rng.choice(list(Anchor)))
+            for _ in range(300)))
+        words = [tuple(rng.choices("abcdef", k=rng.randint(6, 20))) for _ in range(60)]
 
-            sys.setswitchinterval(1e-6)
-            try:
-                threads = [threading.Thread(target=run, args=(part,)) for part in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(t.is_alive() for t in threads)
-            automaton = index.automaton
-            assert [automaton.ids[u] for u in automaton.words] == list(range(len(automaton.words)))
-            for part in range(4):
-                assert results[part] == expected[part::4]
+        def search(index, w):
+            return nca._moves(index, w), nca._search(index, w, Budget(max_nodes=100), None)
+
+        expected = [search(nca.index_rules(rules), w) for w in words]
+        assert [moves for moves, _ in expected] == [scan_moves(rules, w) for w in words]
+        assert {d.status for _, d in expected} == set(Status)
+        for _ in range(3):
+            assert in_four_threads(nca.index_rules(rules), search, words) == expected
 
     def test_copies_start_unbuilt(self, fg2):
         fresh = [pickle.loads(pickle.dumps(fg2)), copy_module.deepcopy(fg2)]
@@ -688,7 +775,7 @@ class TestMemoCap:
             transforms.nca_to_gcsg(load("right_anchor.nca"))
 
     @pytest.mark.parametrize("to, fixture",
-                             [("gcsg", "right_anchor.nca"), ("noterm", "anbn.gcsg")])
+                             [("gcsg", "right_anchor.nca"), ("standard", "left_anchor.egcsg")])
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
     def test_cli_convert_exits_3(self, to, fixture, to_file, tmp_path, capsys):
         out = tmp_path / "converted"

@@ -38,59 +38,6 @@ def unmark(w):
     return tuple(s.strip(transforms.CARET) for s in w)
 
 
-class TestEliminateTerminals:
-    def test_tilde_variants(self, anbn_grammar):
-        g2 = transforms.eliminate_terminals(anbn_grammar)
-        rhss = {p.rhs for p in g2.productions if p.lhs == ("T",) and len(p.rhs) == 2}
-        assert rhss == {
-            ("a", "b"), ("~a", "b"), ("a", "~b"), ("~a", "~b"),
-        }
-
-    def test_terminal_lhs_gets_tilded(self):
-        g = grammar_of(
-            [Production(word("S"), word("a b")), Production(word("a b"), word("a b c"))],
-            terminals="a b c",
-        )
-        g2 = transforms.eliminate_terminals(g)
-        lhss = {p.lhs for p in g2.productions}
-        assert ("~a", "~b") in lhss and ("a", "b") not in lhss
-        variants = [p for p in g2.productions if p.lhs == ("~a", "~b")]
-        assert len(variants) == 8  # 2^3 tilde choices in the rhs
-
-    def test_no_terminal_lhs_anywhere(self, anbn_grammar):
-        g2 = transforms.eliminate_terminals(anbn_grammar)
-        assert all(s in g2.nonterminals for p in g2.productions for s in p.lhs)
-
-    def test_output_validates(self, anbn_grammar):
-        # the Grammar constructor checks the output
-        assert isinstance(transforms.eliminate_terminals(anbn_grammar), Grammar)
-
-    def test_untouched_when_no_terminals_in_rules(self):
-        g = grammar_of([Production(word("S"), word("T T")), Production(word("T"), word("T T T"))])
-        g2 = transforms.eliminate_terminals(g)
-        assert set(g2.productions) == set(g.productions)
-        assert g2.nonterminals == g.nonterminals | {"~a", "~b"}
-
-    def test_language_preserved(self, anbn_grammar):
-        g2 = transforms.eliminate_terminals(anbn_grammar)
-        assert grammar.generate_language(g2, 6) == grammar.generate_language(anbn_grammar, 6)
-
-    def test_twin_name_collision_refused(self):
-        g = grammar_of([Production(word("S"), word("a b"))], nonterminals="S ~a")
-        with pytest.raises(ValueError, match=r"collide with existing symbols: \['~a'\]"):
-            transforms.eliminate_terminals(g)
-
-    def test_productions_bounded_by_max_memo(self, anbn_grammar, monkeypatch):
-        # counted before they are built: 2^k copies of a production with
-        # k terminals on its right-hand side
-        built = len(transforms.eliminate_terminals(anbn_grammar).productions)
-        monkeypatch.setattr(nca, "MAX_MEMO", built)
-        transforms.eliminate_terminals(anbn_grammar)
-        monkeypatch.setattr(nca, "MAX_MEMO", built - 1)
-        with pytest.raises(nca.BudgetExceededError, match=f"more than {built - 1} productions"):
-            transforms.eliminate_terminals(anbn_grammar)
-
-
 class TestDeanchor:
     @pytest.mark.parametrize(
         "fixture", ["left_anchor.egcsg", "right_anchor.egcsg", "both_anchor.egcsg"]
@@ -181,7 +128,7 @@ class TestDeanchor:
         sg = transforms.deanchor(g)
         assert textio.first_difference(g, sg, 5) is None
         assert all(p.anchor is Anchor.NONE for p in sg.productions)
-        assert not any(s.startswith(transforms.TILDE) for s in sg.alphabet)
+        assert not any(s.startswith("~") for s in sg.alphabet)
         # every copy unmarks to an input production, at most 16 copies of each
         inputs = Counter((p.lhs, p.rhs) for p in g.productions)
         copies = Counter((unmark(p.lhs), unmark(p.rhs)) for p in sg.productions)
@@ -342,10 +289,6 @@ class TestNcaToGcsg:
             sizes.add(len(g.productions))
             assert textio.first_difference(sys, g, 12) is None
         assert len(sizes) == 1 and sizes.pop() <= 16
-        # eliminate_terminals of S -> a^20 would build 2^20 copies: refused at once
-        g = grammar_of([Production(word("S"), ("a",) * 20)])
-        with pytest.raises(nca.BudgetExceededError, match="more than 1000000 productions"):
-            transforms.eliminate_terminals(g)
 
 
 def has_carets(g):
@@ -386,7 +329,7 @@ class TestUnanchoredConversion:
         assert has_carets(sg) is anchored
         if not anchored:
             assert sg == eg
-            assert not any(s.startswith(transforms.TILDE) or transforms.CARET in s
+            assert not any(s.startswith("~") or transforms.CARET in s
                            for s in sg.alphabet)
 
     @pytest.mark.parametrize("name", sorted(f.name for f in FIXTURES.glob("*.nca")))
