@@ -13,15 +13,14 @@ lattice the rules span, since every rule moves them by one of its rows;
 and the search, which decides whatever is left.  Read right to left, the
 rules generate the accepted words from the empty word:
 :func:`enumerate_language` computes that closure, for grammars too.  The
-pass, the search and enumeration find left-hand sides with the same
-automaton, whose states are built on first use and held by a rule index.
+pass, the search and enumeration find left-hand sides with that same
+automaton, held by a :class:`RuleIndex`, whose states are built on first use.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import threading
 from collections import Counter
 from typing import NamedTuple, Optional
 
@@ -67,118 +66,92 @@ class Move(NamedTuple):
 _move = functools.partial(tuple.__new__, Move)
 
 
-class LhsAutomaton:
-    """The keyword automaton of a rule tuple's left-hand sides (Aho and
-    Corasick, CACM 1975), the one left-hand-side matcher: the deterministic
-    pass (:func:`_greedy`) walks it one step per pushed letter, and move
-    generation (:func:`_derive`), which enumeration uses too, walks it over
-    stretches of a word.  A state, numbered by an int, is the longest
-    suffix of the letters walked that is a prefix of some left-hand side;
-    ``words`` holds these prefixes, the empty one first.  Every left-hand
-    side that ends the letters walked also ends its state's prefix, so
-    ``candidates`` lists, per state, every rewrite whose left-hand side
-    ends there, in the pass's order: longest first, anchored before
-    unanchored at equal length, lowest index first.  Each is a (rule
-    index, anchor, left-hand-side length, right-hand side reversed) tuple.
+class _State:
+    __slots__ = ("prefix", "candidates", "step")
 
-    The first walk reads every left-hand side once, into ``own``, which
-    maps each prefix of one to the rewrites of that left-hand side alone.
-    After that a state is built the first time a walk reaches it, and
-    ``step`` maps each state's letters seen so far to the next state.
-    States and transitions are added under ``lock``, and a transition only
-    once its state is whole, so walks in several threads can share one
-    automaton."""
+    def __init__(self, prefix: Word, candidates: tuple):
+        self.prefix = prefix
+        self.candidates = candidates
+        self.step: dict = {}
 
-    __slots__ = ("rules", "lock", "words", "own", "ids", "candidates", "step")
 
-    def __init__(self, rules):
+class RuleIndex:
+    """A rule tuple and the keyword automaton of its left-hand sides (Aho
+    and Corasick, CACM 1975), the one left-hand-side matcher: the
+    deterministic pass (:func:`_greedy`) steps through it one pushed letter
+    at a time, and move generation (:func:`_derive`), which enumeration
+    uses too, walks it over stretches of a word.  ``free_len`` holds each
+    rule's left-hand-side length if it is unanchored and 0 if not;
+    ``reach`` is the longest unanchored left-hand side and ``ends`` the
+    longest anchored one, 0 when there is none; ``sided`` says whether some
+    rule is anchored at one end only.
+
+    A state's ``prefix`` is the longest suffix of the letters walked that
+    is a prefix of some left-hand side.  Every left-hand side that ends
+    those letters ends it too, so its ``candidates`` list every rewrite
+    that ends there, in the pass's order: longest first, anchored before
+    unanchored at equal length, lowest index first.  Each is a (rule index,
+    anchor, left-hand-side length, right-hand side reversed) tuple, and
+    ``own`` maps each prefix of a left-hand side to the rewrites of that
+    left-hand side alone.  ``states`` maps prefixes to states, ``root``
+    the empty one first; the others are built the first time a walk
+    reaches them, and ``step`` maps each letter seen in a state to the
+    next.  A state is stored whole, the first one stored for its prefix is
+    kept, and a step only after its state, so threads can walk one index
+    at once: they can only race to store equal values."""
+
+    __slots__ = ("rules", "free_len", "reach", "ends", "sided", "own", "root", "states")
+
+    def __init__(self, rules: tuple[Rule, ...]):
         self.rules = rules
-        self.lock = threading.Lock()  # held while a state or a transition is added
-        self.words: list = []  # the other tables are made with state 0
+        self.free_len = tuple(len(r.lhs) if r.anchor is Anchor.NONE else 0 for r in rules)
+        self.reach = max(self.free_len, default=0)
+        self.ends = max((len(r.lhs) for r in rules if r.anchor is not Anchor.NONE), default=0)
+        self.sided = any(r.anchor in (Anchor.LEFT, Anchor.RIGHT) for r in rules)
+        own = self.own = {(): ()}
+        # a stable sort puts the anchored rules first, each in index order
+        for i in sorted(range(len(rules)), key=lambda i: rules[i].anchor is Anchor.NONE):
+            lhs, rhs, anchor = rules[i]
+            own[lhs] = own.get(lhs, ()) + ((i, anchor, len(lhs), rhs[::-1]),)
+            for j in range(1, len(lhs)):
+                own.setdefault(lhs[:j], ())
+        self.root = _State((), ())  # no left-hand side is empty
+        self.states = {(): self.root}
 
     def __reduce__(self):
-        # a copy or a pickle starts with no states, as the lock cannot be copied
-        return LhsAutomaton, (self.rules,)
+        # a copy or a pickle starts with the root alone; copying the states
+        # one by one would recurse through their steps
+        return RuleIndex, (self.rules,)
 
-    def start(self) -> None:
-        """Build ``own`` and state 0, the empty prefix, unless built.  No
-        left-hand side is empty, so state 0 has no candidates."""
-        with self.lock:
-            if not self.words:
-                rules = self.rules
-                own = {(): ()}
-                # a stable sort puts the anchored rules first, each in index order
-                for i in sorted(range(len(rules)), key=lambda i: rules[i].anchor is Anchor.NONE):
-                    lhs, rhs, anchor = rules[i]
-                    own[lhs] = own.get(lhs, ()) + ((i, anchor, len(lhs), rhs[::-1]),)
-                    for j in range(1, len(lhs)):
-                        own.setdefault(lhs[:j], ())
-                self.own = own
-                self.ids = {(): 0}
-                self.candidates = [()]
-                self.step = [{}]
-                self.words.append(())  # last: a walk that finds state 0 finds all of it
-
-    def follow(self, state: int, letter) -> int:
+    def follow(self, state: _State, letter) -> _State:
         """The state after ``letter`` is read in ``state``: the longest
         suffix of its prefix and ``letter`` that is a prefix itself, built
         if it is new."""
-        self.lock.acquire()  # not a with block, which costs twice as much
-        try:
-            prefix = self.words[state] + (letter,)
-            own = self.own
-            while prefix not in own:
-                prefix = prefix[1:]
-            nxt = self.ids.get(prefix)
-            if nxt is None:
-                out = ()
-                for j in range(len(prefix)):  # the suffixes, longest first
-                    out += own.get(prefix[j:], ())
-                nxt = len(self.words)
-                self.candidates.append(out)
-                self.step.append({})
-                self.ids[prefix] = nxt
-                self.words.append(prefix)
-            self.step[state][letter] = nxt
-        finally:
-            self.lock.release()
+        prefix = state.prefix + (letter,)
+        own = self.own
+        while prefix not in own:
+            prefix = prefix[1:]
+        nxt = self.states.get(prefix)
+        if nxt is None:
+            out = ()
+            for j in range(len(prefix)):  # the suffixes, longest first
+                out += own.get(prefix[j:], ())
+            nxt = self.states.setdefault(prefix, _State(prefix, out))
+        state.step[letter] = nxt
         return nxt
 
     def walk(self, w: Word) -> list:
         """The candidates of the state after each letter of ``w``, walked
-        from state 0: those after ``w[j]`` are the rewrites whose windows
+        from the root: those after ``w[j]`` are the rewrites whose windows
         in ``w`` end at ``j + 1``."""
-        if not self.words:
-            self.start()
-        step, candidates, follow = self.step, self.candidates, self.follow
-        state = 0
+        follow = self.follow
+        state = self.root
         found = []
         for letter in w:
-            nxt = step[state].get(letter)
+            nxt = state.step.get(letter)
             state = follow(state, letter) if nxt is None else nxt
-            found.append(candidates[state])
+            found.append(state.candidates)
         return found
-
-
-class RuleIndex(NamedTuple):
-    """A rule tuple and its :class:`LhsAutomaton`, which belongs to this
-    index alone and starts with no states.  ``free_len`` holds each rule's
-    left-hand-side length if it is unanchored and 0 if not; ``reach`` is
-    the longest unanchored left-hand side and ``ends`` the longest
-    anchored one, 0 when there is none."""
-
-    rules: tuple[Rule, ...]
-    free_len: tuple[int, ...]
-    reach: int
-    ends: int
-    automaton: LhsAutomaton
-
-
-def index_rules(rules: tuple[Rule, ...]) -> RuleIndex:
-    """Index ``rules`` by left-hand side."""
-    free_len = tuple(len(r.lhs) if r.anchor is Anchor.NONE else 0 for r in rules)
-    ends = max((len(r.lhs) for r in rules if r.anchor is not Anchor.NONE), default=0)
-    return RuleIndex(rules, free_len, max(free_len, default=0), ends, LhsAutomaton(rules))
 
 
 class NcaSystem(NamedTuple("NcaSystem", [("alphabet", Alphabet), ("rules", tuple)])):
@@ -200,7 +173,7 @@ class NcaSystem(NamedTuple("NcaSystem", [("alphabet", Alphabet), ("rules", tuple
     @functools.cached_property
     def _index(self) -> RuleIndex:
         """The rules indexed by left-hand side, built on first use."""
-        return index_rules(self.rules)
+        return RuleIndex(self.rules)
 
     @functools.cached_property
     def _growing(self) -> tuple:
@@ -216,7 +189,7 @@ class NcaSystem(NamedTuple("NcaSystem", [("alphabet", Alphabet), ("rules", tuple
                 rules.append(Rule(r.rhs, r.lhs, r.anchor))
             else:
                 inserts.append((r.lhs, r.anchor))
-        return tuple((*key, index_rules(tuple(rs)), tuple(us)) for key, (rs, us) in groups.items())
+        return tuple((*key, RuleIndex(tuple(rs)), tuple(us)) for key, (rs, us) in groups.items())
 
     @functools.cached_property
     def _lattice(self) -> tuple[tuple, tuple]:
@@ -288,7 +261,7 @@ def _validate(sys: NcaSystem) -> list[str]:
 
 def _moves(index: RuleIndex, w: Word) -> list[tuple[int, int]]:
     """All applicable (rule, position) pairs, in lexicographic order, from
-    walks of the index's automaton over ``w``.  The pairs are plain
+    walks of the index over ``w``.  The pairs are plain
     tuples, as building a :class:`Move` costs many times more;
     :func:`legal_moves` and search witnesses wrap them."""
     return _derive(index, (), w, 0, 0, len(w))
@@ -302,14 +275,16 @@ def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
     of unanchored rules whose windows lie left of the replaced letters
     are kept, and those right of them shift by ``rhs_len - lhs_len``.  The
     windows that meet the new letters, or cross the gap where the old ones
-    were, lie within ``index.reach - 1`` letters of them, so the automaton
-    is walked from state 0 over that stretch alone.  A state lists its
+    were, lie within ``index.reach - 1`` letters of them, so the index
+    is walked from its root over that stretch alone.  A state lists its
     rewrites longest first, so their windows start left to right, and the
     first that starts at or after the new letters' end ends the list.
     Anchored moves are read afresh at the two ends, since a shorter word
     can bring a kept window to either end: from one walk over the first
     ``index.ends`` letters and the last ones joined, or over the whole
-    word when it has at most twice that many."""
+    word when it has at most twice that many.  A ``@both`` window is the
+    whole word, so that walk is skipped for a word longer than
+    ``index.ends`` when no rule is anchored at one end only."""
     free_len = index.free_len
     right = p + lhs_len  # parent windows from here on lie right of the splice
     shift = rhs_len - lhs_len
@@ -324,7 +299,7 @@ def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
                 out.append((i, q + shift))
     n = len(child)
     reach, ends = index.reach, index.ends
-    walk = index.automaton.walk
+    walk = index.walk
     unanchored = Anchor.NONE
     if reach:
         new_end = p + rhs_len
@@ -336,7 +311,7 @@ def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
                     break
                 if anchor is unanchored:
                     out.append((i, j - k))
-    if ends:
+    if ends and (n <= ends or index.sided):
         # no window across the seam of the two ends passes an anchor check
         # in rim, and one that ends rim ends the word
         rim = child if n <= 2 * ends else child[:ends] + child[n - ends:]
@@ -447,32 +422,29 @@ def _greedy(index: RuleIndex, w: Word) -> tuple[list[tuple[int, int]], Word]:
     of them, needs no budget, and returns its moves and the word it stopped
     at: when that is the empty word, the moves are a witness.
 
-    The pass walks ``index.automaton`` (:class:`LhsAutomaton`), one step
-    per pushed letter, and keeps the state after each prefix of the stack,
-    so a rewrite at ``pos`` goes back to the state stored there.  A state
+    The pass steps through ``index`` (:class:`RuleIndex`) once per pushed
+    letter and keeps the state after each prefix of the stack, so a
+    rewrite at ``pos`` goes back to the state stored there.  A state
     lists every rewrite whose left-hand side ends the stack, in the pass's
     order, and an unanchored one always applies, so the first that applies
     is the pass's choice.  A state is built the first time a walk reaches
     it, and the index keeps it."""
-    automaton = index.automaton
-    if not automaton.words:
-        automaton.start()
-    step, candidates, follow = automaton.step, automaton.candidates, automaton.follow
+    follow = index.follow
     unanchored = Anchor.NONE
     stack: list = []
-    state = 0
+    state = index.root
     states = [state]  # the state after each prefix of the stack
     unread = list(reversed(w))
     moves: list = []
     while unread:
         letter = unread.pop()
-        nxt = step[state].get(letter)
+        nxt = state.step.get(letter)
         state = follow(state, letter) if nxt is None else nxt
         stack.append(letter)
         states.append(state)
-        while candidates[state]:  # rewrite at the top of the stack until nothing matches
+        while state.candidates:  # rewrite at the top of the stack until nothing matches
             top = len(stack)
-            for i, anchor, k, rhs in candidates[state]:
+            for i, anchor, k, rhs in state.candidates:
                 pos = top - k
                 if anchor is unanchored or anchor_ok(anchor, pos, k, top + len(unread)):
                     break
@@ -544,7 +516,7 @@ def enumerate_language(sys: NcaSystem, max_len: int) -> set[Word]:
             # one walk over the whole word: the windows found after w[j - 1] end at j
             rules = index.rules
             children = [w[:j - k] + rules[i].rhs + w[j:]
-                        for j, found in enumerate(index.automaton.walk(w) if rules else (), 1)
+                        for j, found in enumerate(index.walk(w) if rules else (), 1)
                         for i, anchor, k, _ in found
                         if anchor is unanchored or anchor_ok(anchor, j - k, k, n)]
             # an anchored insert can only land at an end of the word

@@ -249,8 +249,8 @@ class TestMember:
         # member searches the system gcsg_to_nca returns, so its index is
         # built once and shared
         calls = []
-        index_rules = nca.index_rules
-        monkeypatch.setattr(nca, "index_rules", lambda rules: calls.append(rules) or index_rules(rules))
+        rule_index = nca.RuleIndex
+        monkeypatch.setattr(nca, "RuleIndex", lambda rules: calls.append(rules) or rule_index(rules))
         g = load("anbn.gcsg")
         for w in (word("a b"), word("a a b"), word("a b a b"), ()):
             grammar.member(g, w)

@@ -126,7 +126,7 @@ class TestRuleIndex:
     def test_random_systems_match_scan(self, rules, w):
         # drawn rules need not shorten, so they are indexed without a system
         rules = tuple(rules)
-        assert nca._moves(nca.index_rules(rules), w) == scan_moves(rules, w)
+        assert nca._moves(nca.RuleIndex(rules), w) == scan_moves(rules, w)
 
     def test_shared_lhs_mixed_lengths_and_anchors(self):
         sys = make(
@@ -139,8 +139,8 @@ class TestRuleIndex:
 
     def test_built_once_per_system(self, monkeypatch):
         calls = []
-        index_rules = nca.index_rules
-        monkeypatch.setattr(nca, "index_rules", lambda rules: calls.append(rules) or index_rules(rules))
+        rule_index = nca.RuleIndex
+        monkeypatch.setattr(nca, "RuleIndex", lambda rules: calls.append(rules) or rule_index(rules))
         sys = load("fg2.nca")
         for w in (word("a A"), word("a b"), word("b a A B")):
             nca.decide(sys, w)
@@ -168,7 +168,7 @@ class TestDerivedMoves:
     @settings(max_examples=300, deadline=None)
     @given(small_systems, small_words, st.data())
     def test_random_walk_matches_full_scan(self, rules, w, data):
-        index = nca.index_rules(rules)
+        index = nca.RuleIndex(rules)
         moves = nca._moves(index, w)
         while moves:
             w, moves = derive_step(index, w, moves, data.draw(st.sampled_from(moves)))
@@ -213,7 +213,7 @@ class TestDerivedMoves:
          "a x b a c x", (0, 0), [(0, 2)]),
     ])
     def test_splices_at_the_ends_and_across_a_seam(self, rules, w, move, child_moves):
-        index = nca.index_rules(tuple(rules))
+        index = nca.RuleIndex(tuple(rules))
         w = word(w)
         moves = nca._moves(index, w)
         assert move in moves
@@ -222,13 +222,37 @@ class TestDerivedMoves:
 
     def test_no_rules_no_walk(self, fg2):
         # fg2's rules all erase, so its one growing group has no rules, only
-        # inserts: it lists no moves, and its automaton gets no state
+        # inserts: it lists no moves, and its index keeps the root alone
         ((_, _, index, _),) = fg2._growing
         assert index.rules == ()
         for w in (word("a"), word("a b A B"), word("a b A B a")):
             assert nca._moves(index, w) == []
             assert nca._derive(index, [], w, 0, 1, 1) == []
-        assert index.automaton.words == []
+        assert list(index.states) == [()] and index.root.step == {}
+
+    @pytest.mark.parametrize("anchors, w, move, walks", [
+        # a @both window is the whole word: a child longer than the longest
+        # @both left-hand side is walked only around the splice, and a
+        # shorter one whole besides
+        ([Anchor.BOTH], "b a b b a b b b", (0, 1), ["b b"]),
+        ([Anchor.BOTH], "b b a b b b", (0, 2), ["b b"]),
+        ([Anchor.BOTH], "a b b b", (0, 0), ["b", "b b"]),
+        # a @left or @right rule needs the ends of any child
+        ([Anchor.BOTH, Anchor.LEFT], "b a b b a b b b", (0, 1), ["b b", "b b b b"]),
+        ([Anchor.RIGHT], "b a b b a b b b", (0, 1), ["b b", "b b b b"]),
+    ])
+    def test_both_only_long_child_walks_around_the_splice(self, monkeypatch, anchors, w,
+                                                          move, walks):
+        index = nca.RuleIndex((Rule(word("a b"), ()),
+                               *(Rule(word("b b"), (), anchor) for anchor in anchors)))
+        w = word(w)
+        moves = nca._moves(index, w)
+        walked = []
+        walk = nca.RuleIndex.walk
+        monkeypatch.setattr(nca.RuleIndex, "walk", lambda self, u: walked.append(u) or walk(self, u))
+        child, derived = derive_step(index, w, moves, move)
+        assert walked == [word(u) for u in walks]
+        assert derived == scan_moves(index.rules, child)
 
     @pytest.mark.parametrize("shuffled", [False, True])
     @settings(max_examples=150, deadline=None)
@@ -239,7 +263,7 @@ class TestDerivedMoves:
         # would list them; shuffled rules change the order they are tried in
         if shuffled:
             rules = tuple(random.Random(seed).sample(rules, len(rules)))
-        index = nca.index_rules(rules)
+        index = nca.RuleIndex(rules)
         seen = [w]
         scan, derive = nca._moves, nca._derive
 
@@ -390,7 +414,8 @@ def per_length_tables(rules):
     """Each left-hand-side length ``k``, longest first, with a table of the
     anchored left-hand sides of length ``k``, each mapped to its rules'
     (index, anchor) pairs, and one of the unanchored ones, each mapped to
-    its rules' indices: the rule index before the left-hand-side automaton."""
+    its rules' indices: the lookups of the pass before it walked the
+    keyword automaton of a :class:`nca.RuleIndex`."""
     free, anchored = {}, {}
     for i, r in enumerate(rules):
         if r.anchor is Anchor.NONE:
@@ -404,8 +429,8 @@ def per_length_tables(rules):
 
 
 def reference_pass(index, w):
-    """The deterministic pass before the left-hand-side automaton, kept as
-    the oracle: after each push, and after each erase, one slice and two
+    """The deterministic pass before the keyword automaton, kept as the
+    oracle: after each push, and after each erase, one slice and two
     dict lookups per left-hand-side length, longest first."""
     rules = index.rules
     by_len = per_length_tables(rules)
@@ -443,14 +468,15 @@ def reference_pass(index, w):
     return moves, tuple(stack)
 
 
-def in_four_threads(index, f, words):
-    """``f(index, w)`` for each of ``words``, from four threads that share
-    ``index`` and switch as often as the interpreter allows; checks that
-    every state of the automaton they build keeps its own number."""
+def in_four_threads(indexes, f, args):
+    """``f(a)`` for each of ``args``, from four threads that share
+    ``indexes`` and switch as often as the interpreter allows; checks that
+    in each index every state is kept under its own prefix and every
+    ``step`` entry is the state kept for its prefix."""
     results = {}
 
     def run(part):
-        results[part] = [f(index, w) for w in words[part::4]]
+        results[part] = [f(a) for a in args[part::4]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -463,19 +489,33 @@ def in_four_threads(index, f, words):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    automaton = index.automaton
-    assert [automaton.ids[u] for u in automaton.words] == list(range(len(automaton.words)))
-    return [results[j % 4][j // 4] for j in range(len(words))]
+    for index in indexes:
+        states = index.states
+        assert all(state.prefix == prefix for prefix, state in states.items())
+        assert all(nxt is states[nxt.prefix]
+                   for state in states.values() for nxt in state.step.values())
+    return [results[j % 4][j // 4] for j in range(len(args))]
+
+
+def conversion_cap_system():
+    """The 1 000-symbol, 501-rule system of the conversion cap."""
+    symbols = [f"x{i}" for i in range(1000)]
+    return NcaSystem(Alphabet(frozenset(symbols), frozenset(symbols)),
+                     tuple(Rule((f"x{i}", f"x{i + 1}"), ()) for i in range(501)))
 
 
 class TestPassAutomaton:
+    """The keyword automaton of a :class:`nca.RuleIndex`: the pass that
+    steps through it, the states it builds, and its sharing across threads
+    and copies."""
+
     @settings(max_examples=400, deadline=None)
     @given(st.lists(shortening_rules("ab"), min_size=1, max_size=10).map(tuple),
            st.lists(st.sampled_from("abc"), max_size=12).map(tuple))
     def test_random_systems_match_reference(self, rules, w):
         # left-hand sides over two letters overlap and share prefixes, at
         # every anchor; c starts none of them
-        index = nca.index_rules(rules)
+        index = nca.RuleIndex(rules)
         assert nca._greedy(index, w) == reference_pass(index, w)
 
     @pytest.mark.parametrize("name, to_gcsg, max_len", every_system(6, 6))
@@ -489,59 +529,55 @@ class TestPassAutomaton:
         # a state lists every rewrite whose left-hand side ends its prefix:
         # longest first, the anchored ones first at equal length, lowest
         # index first; the pass takes the first that applies
-        index = nca.index_rules((
+        index = nca.RuleIndex((
             Rule(word("b"), ()), Rule(word("a b"), ()), Rule(word("a b"), word("c")),
             Rule(word("a b"), (), Anchor.RIGHT), Rule(word("a b"), (), Anchor.LEFT)))
-        automaton = index.automaton
-        assert automaton.words == []
+        assert list(index.states) == [()]
         # inside the word neither anchor holds, and rule 1 goes before rule 2;
         # then a b is the whole word, and the right anchor goes first
         assert nca._greedy(index, word("a a b b")) == ([(1, 1), (3, 0)], ())
-        state = automaton.ids[word("a b")]
-        assert automaton.candidates[state] == (
+        assert index.states[word("a b")].candidates == (
             (3, Anchor.RIGHT, 2, ()), (4, Anchor.LEFT, 2, ()), (1, Anchor.NONE, 2, ()),
             (2, Anchor.NONE, 2, ("c",)), (0, Anchor.NONE, 1, ()))
 
     def test_unbuilt_outside_the_pass(self, monkeypatch):
-        # enumeration walks the automata of the system's own growing
-        # indexes; it, conversion and serialization build no other
+        # enumeration walks the system's own growing indexes; it,
+        # conversion and serialization build no state of any other
         indexes = []
-        index_rules = nca.index_rules
-        monkeypatch.setattr(nca, "index_rules",
-                            lambda rules: indexes.append(index_rules(rules)) or indexes[-1])
+        rule_index = nca.RuleIndex
+        monkeypatch.setattr(nca, "RuleIndex",
+                            lambda rules: indexes.append(rule_index(rules)) or indexes[-1])
         growing = []
         for name in ("s3.nca", "right_anchor.nca"):
             system = load(name)
             nca.enumerate_language(system, 3)
-            growing += [index.automaton for _, _, index, _ in system._growing]
+            growing += [index for _, _, index, _ in system._growing]
             g = transforms.nca_to_gcsg(system)
             textio.serialize_system(g)
             textio.serialize_system(system)
-        assert any(automaton.words for automaton in growing)
-        assert all(ix.automaton.words == [] for ix in indexes if ix.automaton not in growing)
-        assert system._index.automaton.words == []
+        assert any(len(index.states) > 1 for index in growing)
+        assert all(list(ix.states) == [()] for ix in indexes if ix not in growing)
+        assert list(system._index.states) == [()]
         nca.decide(system, word("a b"))
-        assert system._index.automaton.words
+        assert len(system._index.states) > 1
 
     def test_builds_only_the_states_it_reaches(self):
-        # the 1 000-symbol, 501-rule system of the conversion cap
-        symbols = [f"x{i}" for i in range(1000)]
-        system = NcaSystem(Alphabet(frozenset(symbols), frozenset(symbols)),
-                           tuple(Rule((f"x{i}", f"x{i + 1}"), ()) for i in range(501)))
+        system = conversion_cap_system()
         assert nca.decide(system, word("x7 x8")).accepted
-        assert len(system._index.automaton.words) <= 3
+        assert len(system._index.states) <= 3
 
     def test_threads_share_one_automaton(self):
-        # four threads build one automaton of hundreds of states at once,
-        # switching as often as the interpreter allows: every state keeps
-        # its own number, and every pass matches the reference
+        # four threads build one index of hundreds of states at once,
+        # switching as often as the interpreter allows: every step leads to
+        # the state kept for its prefix, and every pass matches the reference
         rng = random.Random(0)
         rules = tuple(dict.fromkeys(Rule(tuple(rng.choices("abcdefgh", k=rng.randint(3, 5))), ())
                                     for _ in range(600)))
         words = [tuple(rng.choices("abcdefgh", k=40)) for _ in range(400)]
-        expected = [reference_pass(nca.index_rules(rules), w) for w in words]
+        expected = [reference_pass(nca.RuleIndex(rules), w) for w in words]
         for _ in range(10):
-            assert in_four_threads(nca.index_rules(rules), nca._greedy, words) == expected
+            index = nca.RuleIndex(rules)
+            assert in_four_threads([index], functools.partial(nca._greedy, index), words) == expected
 
     def test_threads_share_one_automaton_in_the_search(self):
         # the same for the search's walks: four threads list the moves of
@@ -557,27 +593,56 @@ class TestPassAutomaton:
         def search(index, w):
             return nca._moves(index, w), nca._search(index, w, Budget(max_nodes=100), None)
 
-        expected = [search(nca.index_rules(rules), w) for w in words]
+        expected = [search(nca.RuleIndex(rules), w) for w in words]
         assert [moves for moves, _ in expected] == [scan_moves(rules, w) for w in words]
         assert {d.status for _, d in expected} == set(Status)
         for _ in range(3):
-            assert in_four_threads(nca.index_rules(rules), search, words) == expected
+            index = nca.RuleIndex(rules)
+            assert in_four_threads([index], functools.partial(search, index), words) == expected
+
+    def test_threads_share_the_growing_indexes_in_enumeration(self):
+        # the same for enumeration: four threads enumerate one fresh system
+        # with three growing groups, anchored rules among them; its indexes
+        # are made, each with its root alone, before the threads start, as
+        # functools.cached_property takes no lock from Python 3.12 on and
+        # each thread could otherwise make its own
+        def backward():
+            return transforms.nca_to_gcsg(load("right_anchor.nca"))._backward
+
+        lengths = [5, 6, 7, 8] * 2
+        expected = [nca.enumerate_language(backward(), n) for n in lengths]
+        for _ in range(10):
+            system = backward()
+            indexes = [index for _, _, index, _ in system._growing]
+            assert len(indexes) == 3 and all(list(ix.states) == [()] for ix in indexes)
+            enumerate_ = functools.partial(nca.enumerate_language, system)
+            assert in_four_threads(indexes, enumerate_, lengths) == expected
 
     def test_copies_start_unbuilt(self, fg2):
         fresh = [pickle.loads(pickle.dumps(fg2)), copy_module.deepcopy(fg2)]
         assert nca.decide(fg2, word("a b B A")).accepted
         for copy in (pickle.loads(pickle.dumps(fg2)), copy_module.deepcopy(fg2), *fresh):
             assert copy == fg2 and hash(copy) == hash(fg2) and type(copy) is NcaSystem
-            assert copy._index.automaton.words == []
+            assert list(copy._index.states) == [()]
             assert nca.decide(copy, word("a b B A")) == nca.decide(fg2, word("a b B A"))
+
+    def test_copies_of_hundreds_of_states_start_unbuilt(self):
+        # copying the states one by one would recurse through their steps
+        system = conversion_cap_system()
+        w = tuple(random.Random(3).choices(sorted(system.alphabet.terminals), k=3000))
+        d = nca.decide(system, w)
+        assert len(system._index.states) >= 300
+        for copy in (pickle.loads(pickle.dumps(system)), copy_module.deepcopy(system)):
+            assert copy == system and list(copy._index.states) == [()]
+            assert nca.decide(copy, w) == d
 
     def test_equal_systems_keep_their_own(self):
         s1, s2 = load("fg2.nca"), load("fg2.nca")
         assert s1 == s2 and s1 is not s2
         assert nca.decide(s1, word("a b B A")).accepted
-        assert s1._index.automaton.words and s2._index.automaton.words == []
+        assert len(s1._index.states) > 1 and list(s2._index.states) == [()]
         assert nca.decide(s2, word("a A")).accepted
-        assert s2._index.automaton is not s1._index.automaton
+        assert s2._index is not s1._index
 
 
 class TestGreedy:

@@ -26,7 +26,7 @@ GUARD = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import gcsl, gcsl.cli, gcsl.textio
-heavy = ("dataclasses", "inspect", "fractions", "decimal")
+heavy = ("dataclasses", "inspect", "fractions", "decimal", "threading")
 print(*(m for m in heavy if m in sys.modules))
 system = gcsl.textio.parse_system(open(sys.argv[2], encoding="utf-8").read())
 h = gcsl.history.from_moves(system, ("a", "A"), [(0, 0)])
