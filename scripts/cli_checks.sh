@@ -156,6 +156,25 @@ tmp=$(mktemp -d -p "$work")
 $GCSL trace fixtures/anbn.gcsg "a a b b" --canonical > "$tmp/trace.txt"
 printf '0 | a a b b | rule#2 @1\n1 | a T b | rule#1 @0\n2 | _ |\n' | diff - "$tmp/trace.txt"
 
+echo "== gcsl trace --canonical changes nothing for a 400-letter s3 word that the pass accepts"
+tmp=$(mktemp -d -p "$work")
+# u followed by its inverse: every s3 word of product e reduces in one pass
+w=$(python3 -c 'import random; r = random.Random(3); inv = dict(zip("etsrqu", "etsqru")); u = [r.choice("etsrqu") for _ in range(200)]; print(" ".join(u + [inv[s] for s in reversed(u)]))')
+test "$(echo "$w" | wc -w)" -eq 400
+$GCSL trace fixtures/s3.nca "$w" > "$tmp/trace.txt"
+$GCSL trace fixtures/s3.nca "$w" --canonical > "$tmp/canonical.txt"
+test "$(tail -n 1 "$tmp/trace.txt" | cut -d ' ' -f 2-)" = "| _ |"
+diff "$tmp/trace.txt" "$tmp/canonical.txt"
+
+echo "== gcsl trace prints the exact canonical diagram of a grammar's witness"
+tmp=$(mktemp -d -p "$work")
+$GCSL trace fixtures/anbn.gcsg "a a b b" --canonical --diagram > "$tmp/diagram.txt"
+printf '%s\n' \
+  '0 | a a b b | rule#2 @1' '1 | a T b | rule#1 @0' '2 | _ |' \
+  'row 0: a[0,1) a[1,2) b[2,3) b[3,4)' '  line: [1,3) rule#2' \
+  'row 1: a[0,1) T[1,3) b[3,4)' '  line: [0,4) rule#1' \
+  'row 2: _' | diff - "$tmp/diagram.txt"
+
 echo "== gcsl traces a grammar and its converted system alike"
 tmp=$(mktemp -d -p "$work")
 $GCSL convert --to nca fixtures/anbn.gcsg -o "$tmp/anbn.nca"

@@ -10,9 +10,16 @@ splits its span unevenly), the exact diagram geometry built on them
 precedence order between substitutions as a closure matrix, built in one
 pass that keeps each event's predecessors as an int bit set, swap moves
 between equivalent reductions (each event keeping its rule's anchor),
-the canonical left-first reordering, which one left-to-right replay of
-the letters finds without any geometry, and reorderings that pull one
-set of events before another by adjacent swaps alone.
+the canonical left-first reordering, and reorderings that pull one set
+of events before another by adjacent swaps alone.
+
+One left-to-right replay of the letters finds the canonical order
+without any geometry, once per history: the history keeps it.
+:func:`canonicalize` returns a history that :func:`from_moves` built
+already in that order as it is, as for every witness of the
+deterministic pass, and rebuilds every other one through
+:func:`from_moves`.  The renderers of :mod:`gcsl.textio` join each
+rendering once.
 
 The *precedence* order is generated by "consumes a letter produced by".
 Two precedence-incomparable events may still not commute: a rule producing
@@ -48,14 +55,23 @@ class Event(NamedTuple):
     produced: tuple[int, ...]
 
 
+_FIELDS = ("system", "start", "events", "symbols")
+
+
 class History:
     """A start word, the events that reduce it, and the symbol of each
-    letter id, in id order.  Read-only; ``len`` counts the events."""
+    letter id, in id order.  Read-only; ``len`` counts the events.
 
-    __slots__ = ("system", "start", "events", "symbols")
+    Two private slots hold what is derived from the fields, and equality,
+    hashing, ``repr``, pickling and copying ignore them: ``_canonical``,
+    the canonical order of :func:`_canonical_moves`, filled on first use,
+    and ``_built``, true when :func:`from_moves` built the history and so
+    checked every move."""
+
+    __slots__ = (*_FIELDS, "_canonical", "_built")
 
     def __init__(self, system: NcaSystem, start: Word, events: tuple[Event, ...], symbols: Word):
-        for name, value in zip(History.__slots__, (system, start, events, symbols)):
+        for name, value in zip(History.__slots__, (system, start, events, symbols, None, False)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *value):
@@ -76,7 +92,7 @@ class History:
         return len(self.events)
 
     def __repr__(self):
-        return f"History({', '.join(f'{n}={getattr(self, n)!r}' for n in History.__slots__)})"
+        return f"History({', '.join(f'{n}={getattr(self, n)!r}' for n in _FIELDS)})"
 
 
 # an Event from a (rule index, position, consumed, produced) tuple, as nca._move builds a Move
@@ -102,7 +118,9 @@ def from_moves(system: NcaSystem, start: Word, moves) -> History:
         symbols.extend(rule.rhs)
         row[p:p + k] = produced
         events.append(_event((i, p, consumed, produced)))
-    return History(system, tuple(start), tuple(events), tuple(symbols))
+    h = History(system, tuple(start), tuple(events), tuple(symbols))
+    object.__setattr__(h, "_built", True)
+    return h
 
 
 def moves_of(h: History) -> list[Move]:
@@ -237,11 +255,14 @@ def swap_adjacent(h: History, i: int) -> History:
     return History(h.system, h.start, tuple(events), h.symbols)
 
 
-def _canonical_moves(h: History) -> list[tuple[int, int]]:
-    """The ``(rule, position)`` pairs of the canonical order, unchecked.  One
-    left-to-right replay: letters are pushed onto a stack one at a time, an
-    event fires as soon as its consumed block is the top of the stack and
-    its anchor holds, and the letters it produces are read next."""
+def _canonical_moves(h: History) -> tuple[tuple[int, int], ...]:
+    """The ``(rule, position)`` pairs of the canonical order, unchecked, kept
+    in ``h._canonical`` once found.  One left-to-right replay: letters are
+    pushed onto a stack one at a time, an event fires as soon as its
+    consumed block is the top of the stack and its anchor holds, and the
+    letters it produces are read next."""
+    if h._canonical is not None:
+        return h._canonical
     anchors = [r.anchor for r in h.system.rules]
     waiting = {e.consumed[-1]: e for e in h.events}  # each letter is consumed once
     unread = list(range(len(h.start)))[::-1]  # next letter last
@@ -262,23 +283,30 @@ def _canonical_moves(h: History) -> list[tuple[int, int]]:
     if waiting:
         raise ValueError(f"{len(waiting)} of {len(h.events)} events never fire: "
                          "the history does not replay")
+    moves = tuple(moves)
+    object.__setattr__(h, "_canonical", moves)  # a race stores equal values
     return moves
 
 
 def canonicalize(h: History) -> History:
     """The unique equivalent history that always fires the leftmost event
     whose block is in the word and whose anchor holds: :func:`_canonical_moves`
-    finds the order, and :func:`from_moves` builds and checks it.  Idempotent,
-    and constant on swap-equivalence classes.  The deterministic pass
-    (``nca._greedy``) fires events in this order, so ``trace --canonical``
-    changes nothing for a word that the pass accepts."""
-    return from_moves(h.system, h.start, _canonical_moves(h))
+    finds the order, and :func:`from_moves` builds and checks it, unless
+    :func:`from_moves` built ``h`` itself in that order, when ``h`` is
+    returned as it is.  Idempotent, and constant on swap-equivalence
+    classes.  The deterministic pass (``nca._greedy``) fires events in this
+    order, so ``trace --canonical`` changes nothing for a word that the
+    pass accepts."""
+    moves = _canonical_moves(h)
+    if h._built and all(m == e[:2] for m, e in zip(moves, h.events)):
+        return h
+    return from_moves(h.system, h.start, moves)
 
 
 def equivalent(h1: History, h2: History) -> bool:
     """Same system, same start word, and mutually reachable by swaps of
     adjacent independent substitutions (decided by comparing canonical
-    orders, without re-checking the moves)."""
+    orders, each found once per history, without re-checking the moves)."""
     if h1.system != h2.system or h1.start != h2.start:
         return False
     return _canonical_moves(h1) == _canonical_moves(h2)

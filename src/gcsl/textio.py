@@ -16,7 +16,8 @@ Format (``#`` starts a comment, symbols are whitespace-separated,
 from __future__ import annotations
 
 # ValidationError is re-exported: parse_system raises it next to ParseError
-from .core import Alphabet, Anchor, ValidationError, Word, check_symbol, word, word_str
+from .core import (EMPTY_WORD_TOKEN, Alphabet, Anchor, ValidationError, Word, check_symbol, word,
+                   word_str)
 from . import grammar as grammar_mod
 from . import history as history_mod
 from . import nca as nca_mod
@@ -208,20 +209,31 @@ def first_difference(a, b, max_len: int):
     return min(diff, key=shortlex_key)
 
 
-def _rows_text(h, cells):
-    """Yield each row's text, ``cells[i]`` for letter i, spliced from the row before."""
+def _join_rows(h, cells, heads, tails) -> str:
+    """Every row's head, its cells and its tail in one join: ``heads[t]``,
+    then ``cells[i]`` for each letter i of row t, each cell with its
+    leading space (`` _`` for an empty row), spliced from the row before,
+    then ``tails[t]``."""
     row = list(cells[:len(h.start)])
-    yield word_str(row)
-    for e in h.events:
-        row[e.position:e.position + len(e.consumed)] = [cells[i] for i in e.produced]
-        yield word_str(row)
+    empty = [" " + EMPTY_WORD_TOKEN]
+    out = []
+    push, extend = out.append, out.extend
+    for head, tail, e in zip(heads, tails, h.events):
+        push(head)
+        extend(row or empty)
+        push(tail)
+        row[e.position:e.position + len(e.consumed)] = map(cells.__getitem__, e.produced)
+    push(heads[-1])
+    extend(row or empty)
+    push(tails[-1])
+    return "".join(out)
 
 
 def format_trace(h) -> str:
     """One line per step: ``t | word | rule#k @pos``."""
-    steps = [f" | rule#{e.rule_index} @{e.position}" for e in h.events] + [" |"]
-    rows = enumerate(zip(_rows_text(h, h.symbols), steps))
-    return "".join(f"{t} | {row}{step}\n" for t, (row, step) in rows)
+    heads = [f"{t} |" for t in range(len(h.events) + 1)]
+    tails = [f" | rule#{e.rule_index} @{e.position}\n" for e in h.events] + [" |\n"]
+    return _join_rows(h, [" " + s for s in h.symbols], heads, tails)
 
 
 def format_diagram(h) -> str:
@@ -230,7 +242,8 @@ def format_diagram(h) -> str:
     ``int`` endpoints while every split is even, so that ``fractions`` is
     imported only for an uneven one."""
     intervals, lines = history_mod._spans(h)
-    cells = [f"{s}[{lo},{hi})" for s, (lo, hi) in zip(h.symbols, intervals)]
-    texts = [f"\n  line: [{lo},{hi}) rule#{e.rule_index}" for (lo, hi), e in zip(lines, h.events)]
-    rows = enumerate(zip(_rows_text(h, cells), texts + [""]))
-    return "".join(f"row {t}: {row}{line}\n" for t, (row, line) in rows)
+    cells = [f" {s}[{lo},{hi})" for s, (lo, hi) in zip(h.symbols, intervals)]
+    heads = [f"row {t}:" for t in range(len(h.events) + 1)]
+    tails = [f"\n  line: [{lo},{hi}) rule#{e.rule_index}\n"
+             for (lo, hi), e in zip(lines, h.events)] + ["\n"]
+    return _join_rows(h, cells, heads, tails)

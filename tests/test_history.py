@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -317,14 +319,15 @@ class TestCanonicalize:
     def test_pass_history_is_canonical(self, name):
         # the pass rewrites a block as soon as it tops the stack, as the
         # replay fires it, so `trace --canonical` changes nothing for a
-        # word that the pass accepts
+        # word that the pass accepts, and canonicalize returns the history
+        # that from_moves built as it is
         system = load(name)
         words = textio.language(system, 4 if name == "s3.nca" else 7)
         if isinstance(system, Grammar):
             system = system._backward
         for w in words:
             h = history.from_moves(system, w, nca._greedy(system._index, w)[0])
-            assert history.canonicalize(h) == h, w
+            assert history.canonicalize(h) is h, w
 
     @settings(max_examples=300, deadline=None)
     @given(small_systems, small_words)
@@ -332,7 +335,7 @@ class TestCanonicalize:
         # whether or not the pass ends at the empty word
         system = make(rules, terminals="a b c")
         h = history.from_moves(system, w, nca._greedy(system._index, w)[0])
-        assert history.canonicalize(h) == h
+        assert history.canonicalize(h) is h
 
     def test_random_scrambles_agree(self, pair_system):
         rng = random.Random(7)
@@ -597,6 +600,74 @@ class TestEquivalentAgainstReferences:
         # an example found is enough: shrinking it would take nearly all the time
         find(anchored_pairs(), lambda pair: history.equivalent(*pair) is outcome,
              settings=settings(database=None, phases=[Phase.generate]))
+
+
+def fresh(h):
+    """A copy of ``h`` with nothing cached: a pickle round trip."""
+    return pickle.loads(pickle.dumps(h))
+
+
+class TestCanonicalCache:
+    def test_shuffled_history_is_rebuilt_once(self, monkeypatch):
+        w = word("a A b B a A")
+        want = history.from_moves(FG2, w, [(0, 0), (2, 0), (0, 0)])
+        # a swap of the canonical history, and a right-first one from from_moves
+        shuffled = [history.swap_adjacent(want, 0),
+                    history.from_moves(FG2, w, [(2, 2), (0, 0), (0, 0)])]
+        from_moves = history.from_moves
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return from_moves(*args)
+
+        monkeypatch.setattr(history, "from_moves", counted)
+        for g in shuffled:
+            calls.clear()
+            c = history.canonicalize(g)
+            assert len(calls) == 1 and c == want and c is not g
+            assert history.canonicalize(c) is c and len(calls) == 1
+
+    def test_private_slots_ignored(self, fg2):
+        h = history.from_moves(fg2, word("b a A B"), [(0, 1), (2, 0)])
+        history.canonicalize(h)  # fills the cache
+        assert h._canonical is not None and h._built
+        for copied in (fresh(h), copy.deepcopy(h), copy.copy(h)):
+            assert copied._canonical is None and not copied._built
+            assert copied == h and hash(copied) == hash(h)
+        assert repr(h) == repr(history.History(h.system, h.start, h.events, h.symbols))
+        assert re.fullmatch(r"History\(system=.*, start=.*, events=.*, symbols=.*\)", repr(h))
+        assert "_canonical" not in repr(h) and "_built" not in repr(h)
+        with pytest.raises(AttributeError, match="read-only"):
+            h._canonical = None
+
+    @settings(max_examples=200, deadline=None)
+    @given(anchored_pairs())
+    def test_equivalent_with_caches_filled_matches_fresh_copies(self, pair):
+        g, h = pair
+        want = history.equivalent(fresh(g), fresh(h))
+        for _ in range(2):  # fills both caches, then reads them
+            assert history.equivalent(g, h) == want
+            assert history.equivalent(history.canonicalize(g), h) == want
+            assert history.equivalent(h, g) == want
+
+    def test_equivalent_with_caches_filled_draws_both_outcomes(self):
+        rng = random.Random(33)
+        outcomes = set()
+        for _ in range(200):
+            g, h = random_history(rng), random_history(rng)
+            if rng.random() < 0.5:  # an equivalent partner
+                h = g
+                for _ in range(len(g)):
+                    i = rng.randrange(max(1, len(h) - 1))
+                    if len(h) > 1 and swappable(h, i):
+                        h = history.swap_adjacent(h, i)
+            want = history.equivalent(fresh(g), fresh(h))
+            history.canonicalize(g)
+            history.canonicalize(h)
+            assert history.equivalent(g, h) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 def precedence_reference(h):

@@ -231,6 +231,97 @@ class TestRender:
         assert "line: [0,3) rule#0" in out
 
 
+def _reference_rows_text(h, cells):
+    """Each row's text, ``cells[i]`` for letter i, spliced from the row before."""
+    row = list(cells[:len(h.start)])
+    yield word_str(row)
+    for e in h.events:
+        row[e.position:e.position + len(e.consumed)] = [cells[i] for i in e.produced]
+        yield word_str(row)
+
+
+def reference_format_trace(h):
+    """``textio.format_trace`` as it was, joining each row on its own."""
+    steps = [f" | rule#{e.rule_index} @{e.position}" for e in h.events] + [" |"]
+    rows = enumerate(zip(_reference_rows_text(h, h.symbols), steps))
+    return "".join(f"{t} | {row}{step}\n" for t, (row, step) in rows)
+
+
+def reference_format_diagram(h):
+    """``textio.format_diagram`` as it was, joining each row on its own."""
+    intervals, lines = history._spans(h)
+    cells = [f"{s}[{lo},{hi})" for s, (lo, hi) in zip(h.symbols, intervals)]
+    texts = [f"\n  line: [{lo},{hi}) rule#{e.rule_index}" for (lo, hi), e in zip(lines, h.events)]
+    rows = enumerate(zip(_reference_rows_text(h, cells), texts + [""]))
+    return "".join(f"row {t}: {row}{line}\n" for t, (row, line) in rows)
+
+
+# anchored rules over symbols of several characters; the splits of three
+# letters into two give Fraction endpoints
+LONG_NAMES = NcaSystem(
+    Alphabet(frozenset({"x1", "y22", "z333"}), frozenset({"x1", "y22", "z333", "dd", "ee"})),
+    (Rule(word("x1 y22 z333"), word("dd ee")), Rule(word("ee x1 y22"), word("dd ee")),
+     Rule(word("dd ee"), ()), Rule(word("x1 y22"), (), Anchor.LEFT),
+     Rule(word("z333 dd"), word("ee"), Anchor.RIGHT), Rule(word("y22 z333"), (), Anchor.BOTH)),
+)
+
+
+@pytest.fixture(scope="module")
+def render_pool():
+    """Seeded random histories: random walks on ``LONG_NAMES``, on the
+    anchored and unanchored fixtures and on grammars' reversed systems,
+    each also swap-shuffled out of the canonical order."""
+    rng = random.Random(33)
+    pool = []
+    grammars = [load(n) for n in ("anbn.gcsg", "dyck.gcsg", "left_anchor.egcsg",
+                                  "right_anchor.egcsg", "both_anchor.egcsg")]
+    fg2, s3, right = load("fg2.nca"), load("s3.nca"), load("right_anchor.nca")
+    for _ in range(40):
+        g = rng.choice(grammars)
+        w = rng.choice(sorted(grammar.generate_language(g, 6)))
+        pool.append(history.from_moves(g._backward, w, grammar.member(g, w).witness))
+    for system in [LONG_NAMES] * 60 + [fg2, s3, right] * 20:
+        letters = sorted(system.alphabet.working)
+        pieces = [r.lhs for r in system.rules] + [(x,) for x in letters]
+        w = sum((rng.choice(pieces) for _ in range(rng.randint(0, 8))), ())
+        moves = []
+        current = w
+        while options := nca.legal_moves(system, current):
+            moves.append(rng.choice(options))
+            current = nca.apply_move(system, current, moves[-1])
+        pool.append(history.from_moves(system, w, moves))
+    for h in list(pool):
+        g = h
+        for _ in range(2 * len(h)):
+            try:
+                g = history.swap_adjacent(g, rng.randrange(max(1, len(g) - 1)))
+            except (IndexError, ValueError):
+                pass
+        pool.append(g)
+    return pool
+
+
+class TestRenderAgainstReference:
+    def test_pool_covers_each_case(self, render_pool):
+        pool = render_pool
+        assert any(any(len(s) > 1 for s in h.symbols) for h in pool)
+        assert any(h.system.rules[e.rule_index].anchor is not Anchor.NONE
+                   for h in pool for e in h.events)
+        assert any(type(x) is not int for h in pool for lo_hi in history._spans(h)[1]
+                   for x in lo_hi)
+        assert any(history.canonicalize(h) != h for h in pool)
+        assert any(history.words_of(h)[-1] == () for h in pool)
+        assert any(history.words_of(h)[-1] != () for h in pool)
+
+    def test_trace_is_byte_identical(self, render_pool):
+        for h in render_pool:
+            assert textio.format_trace(h) == reference_format_trace(h), h
+
+    def test_diagram_is_byte_identical(self, render_pool):
+        for h in render_pool:
+            assert textio.format_diagram(h) == reference_format_diagram(h), h
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         assert cli.main(["validate", fx("fg2.nca")]) == 0
