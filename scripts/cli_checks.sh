@@ -85,6 +85,14 @@ for f in fixtures/*.egcsg; do
   $GCSL equiv "$f" "$out" --max-len 8
 done
 
+echo "== gcsl refuses caret names that collide with each other, exit 2 and empty stdout"
+tmp=$(mktemp -d -p "$work")
+# ^ + b^ and ^b + ^ are both ^b^: merging them would change the language
+printf '%s\n' 'kind: egcsg' 'terminals: x y' 'nonterminals: S b^ ^b' 'start: S' 'productions:' \
+  'S -> b^ ^b' 'b^ -> x x @left' '^b -> y y y @right' > "$tmp/clash.egcsg"
+rc=0; $GCSL convert --to standard "$tmp/clash.egcsg" > "$tmp/convert.out" || rc=$?; test "$rc" -eq 2
+test ! -s "$tmp/convert.out"
+
 echo "== gcsl converts an anchored grammar to nca and refuses an anchor in kind gcsg"
 tmp=$(mktemp -d -p "$work")
 { cat fixtures/left_anchor.egcsg; echo "S -> _"; } > "$tmp/left_anchor_eps.egcsg"
@@ -174,6 +182,18 @@ printf '%s\n' \
   'row 0: a[0,1) a[1,2) b[2,3) b[3,4)' '  line: [1,3) rule#2' \
   'row 1: a[0,1) T[1,3) b[3,4)' '  line: [0,4) rule#1' \
   'row 2: _' | diff - "$tmp/diagram.txt"
+
+echo "== gcsl trace prints the exact canonical diagram of a search-found witness"
+tmp=$(mktemp -d -p "$work")
+$GCSL convert --to gcsg fixtures/right_anchor.nca -o "$tmp/ra.gcsg"
+# the pass leaves a a a on this grammar, so the search finds the witness
+$GCSL trace "$tmp/ra.gcsg" "a a a" --canonical --diagram > "$tmp/diagram.txt"
+printf '%s\n' \
+  '0 | a a a | rule#11 @1' '1 | a a^ | rule#8 @0' '2 | a^ | rule#1 @0' '3 | _ |' \
+  'row 0: a[0,1) a[1,2) a[2,3)' '  line: [1,3) rule#11' \
+  'row 1: a[0,1) a^[1,3)' '  line: [0,3) rule#8' \
+  'row 2: a^[0,3)' '  line: [0,3) rule#1' \
+  'row 3: _' | diff - "$tmp/diagram.txt"
 
 echo "== gcsl traces a grammar and its converted system alike"
 tmp=$(mktemp -d -p "$work")

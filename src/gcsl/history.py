@@ -38,7 +38,7 @@ import operator
 from typing import NamedTuple
 
 from .core import Anchor, Word, anchor_ok
-from .nca import Move, NcaSystem
+from .nca import NcaSystem
 
 
 class Event(NamedTuple):
@@ -95,13 +95,13 @@ class History:
         return f"History({', '.join(f'{n}={getattr(self, n)!r}' for n in _FIELDS)})"
 
 
-# an Event from a (rule index, position, consumed, produced) tuple, as nca._move builds a Move
+# an Event from a (rule index, position, consumed, produced) tuple, cheaper than Event._make
 _event = functools.partial(tuple.__new__, Event)
 
 
 def from_moves(system: NcaSystem, start: Word, moves) -> History:
-    """Build a history by replaying moves, ``Move``s or ``(rule, position)``
-    pairs, checking legality at each step; produced letters get fresh ids."""
+    """Build a history by replaying ``(rule index, position)`` pairs,
+    checking legality at each step; produced letters get fresh ids."""
     rules = system.rules
     row = list(range(len(start)))
     symbols = list(start)
@@ -113,7 +113,7 @@ def from_moves(system: NcaSystem, start: Word, moves) -> History:
         if not (rule is not None and 0 <= p
                 and tuple(map(symbols.__getitem__, consumed)) == rule.lhs
                 and (rule.anchor is Anchor.NONE or anchor_ok(rule.anchor, p, k, len(row)))):
-            raise ValueError(f"illegal move {Move(i, p)} on {tuple(map(symbols.__getitem__, row))}")
+            raise ValueError(f"illegal move {(i, p)} on {tuple(map(symbols.__getitem__, row))}")
         produced = tuple(range(len(symbols), len(symbols) + len(rule.rhs)))
         symbols.extend(rule.rhs)
         row[p:p + k] = produced
@@ -123,8 +123,8 @@ def from_moves(system: NcaSystem, start: Word, moves) -> History:
     return h
 
 
-def moves_of(h: History) -> list[Move]:
-    return [Move(e.rule_index, e.position) for e in h.events]
+def moves_of(h: History) -> list[tuple[int, int]]:
+    return [e[:2] for e in h.events]
 
 
 def rows(h: History) -> list[list[int]]:

@@ -57,15 +57,6 @@ class Rule(NamedTuple("Rule", [("lhs", Word), ("rhs", Word), ("anchor", Anchor)]
         return tuple.__new__(cls, (lhs, tuple(rhs), anchor))
 
 
-class Move(NamedTuple):
-    rule_index: int
-    position: int
-
-
-# a Move from a (rule index, position) pair, at about half the cost of Move._make
-_move = functools.partial(tuple.__new__, Move)
-
-
 class _State:
     __slots__ = ("prefix", "candidates", "step")
 
@@ -238,8 +229,8 @@ class Status(enum.Enum):
 
 class Decision(NamedTuple):
     status: Status
-    # sequence of moves reducing the input to the empty word, on acceptance
-    witness: Optional[tuple[Move, ...]] = None
+    # the (rule index, position) pairs reducing the input to the empty word, on acceptance
+    witness: Optional[tuple[tuple[int, int], ...]] = None
 
     @property
     def accepted(self) -> bool:
@@ -260,10 +251,8 @@ def _validate(sys: NcaSystem) -> list[str]:
 
 
 def _moves(index: RuleIndex, w: Word) -> list[tuple[int, int]]:
-    """All applicable (rule, position) pairs, in lexicographic order, from
-    walks of the index over ``w``.  The pairs are plain
-    tuples, as building a :class:`Move` costs many times more;
-    :func:`legal_moves` and search witnesses wrap them."""
+    """All applicable (rule index, position) pairs, in lexicographic order,
+    from walks of the index over ``w``."""
     return _derive(index, (), w, 0, 0, len(w))
 
 
@@ -324,17 +313,18 @@ def _derive(index: RuleIndex, moves: list, child: Word, p: int, lhs_len: int,
     return out
 
 
-def legal_moves(sys: NcaSystem, w: Word) -> list[Move]:
-    """All applicable (rule, position) pairs, in lexicographic order."""
-    return list(map(_move, _moves(sys._index, tuple(w))))
+def legal_moves(sys: NcaSystem, w: Word) -> list[tuple[int, int]]:
+    """All applicable (rule index, position) pairs, in lexicographic order."""
+    return _moves(sys._index, tuple(w))
 
 
-def apply_move(sys: NcaSystem, w: Word, m: Move) -> Word:
+def apply_move(sys: NcaSystem, w: Word, m: tuple[int, int]) -> Word:
     w = tuple(w)
-    rule = sys.rules[m.rule_index] if 0 <= m.rule_index < len(sys.rules) else None
-    if rule is None or not occurs_at(w, rule.lhs, m.position, rule.anchor):
-        raise ValueError(f"illegal move {m} on {w}")
-    return splice(w, m.position, len(rule.lhs), rule.rhs)
+    i, p = m
+    rule = sys.rules[i] if 0 <= i < len(sys.rules) else None
+    if rule is None or not occurs_at(w, rule.lhs, p, rule.anchor):
+        raise ValueError(f"illegal move {(i, p)} on {w}")
+    return splice(w, p, len(rule.lhs), rule.rhs)
 
 
 def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> Decision:
@@ -379,7 +369,7 @@ def _search(index: RuleIndex, w: Word, budget: Budget, memo: Optional[set]) -> D
             child = splice(parent, p, len(r.lhs), r.rhs)
             if not child:
                 path.append(m)
-                return Decision(Status.ACCEPTED, tuple(map(_move, path)))
+                return Decision(Status.ACCEPTED, tuple(path))
             if child not in memo:
                 path.append(m)
                 word = child
@@ -486,7 +476,7 @@ def decide(
         return Decision(Status.REJECTED)
     moves, rest = _greedy(sys._index, w)
     if not rest:
-        return Decision(Status.ACCEPTED, tuple(map(_move, moves)))
+        return Decision(Status.ACCEPTED, tuple(moves))
     if not _in_lattice(sys, rest):
         return Decision(Status.REJECTED)
     return _search(sys._index, w, budget, memo)

@@ -61,7 +61,7 @@ def _parse_rule_line(text: str, lineno: int) -> Rule:
     if rtokens and rtokens[-1].startswith("@"):
         tok = rtokens.pop()
         if tok not in _ANCHORS:
-            raise ParseError(f"unknown anchor {tok}", lineno, text.index(tok) + 1)
+            raise ParseError(f"unknown anchor {tok}", lineno, text.rindex(tok) + 1)
         anchor = _ANCHORS[tok]
     lhs = _parse_word(left, lineno)
     rhs = _parse_word(" ".join(rtokens), lineno)

@@ -16,6 +16,7 @@ Three language-preserving constructions:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from .core import Anchor, Symbol, Word
 from . import nca
@@ -37,9 +38,15 @@ def _check_count(productions: int) -> None:
 
 
 def _fresh_or_die(new_names, existing):
+    """Refuse decorated names that meet an existing symbol or each other
+    (``^`` + ``b^`` and ``^b`` + ``^`` are both ``^b^``): two symbols
+    written alike would merge, and the language would change."""
     clash = sorted(set(new_names) & set(existing))
     if clash:
         raise ValueError(f"decorated symbol names collide with existing symbols: {clash}")
+    twice = sorted({n for n, count in Counter(new_names).items() if count > 1})
+    if twice:
+        raise ValueError(f"decorated symbol names collide with each other: {twice}")
 
 
 def deanchor(g: Grammar) -> Grammar:

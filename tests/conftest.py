@@ -14,6 +14,15 @@ def load(name):
     return parse_system((FIXTURES / name).read_text(encoding="utf-8"))
 
 
+# Two inputs whose caret names collide with each other: ``^`` + ``b^`` and
+# ``^b`` + ``^`` are both ``^b^``.  The grammar's language is {x x y y y}.
+CARET_CLASH = {
+    "egcsg": "kind: egcsg\nterminals: x y\nnonterminals: S b^ ^b\nstart: S\nproductions:\n"
+             "S -> b^ ^b\nb^ -> x x @left\n^b -> y y y @right\n",
+    "nca": "kind: nca\nterminals: b^ ^b\nalphabet: b^ ^b\nrules:\nb^ ^b -> _ @left\n^b -> _\n",
+}
+
+
 @pytest.fixture
 def fg2():
     return load("fg2.nca")

@@ -10,7 +10,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 from gcsl import grammar, history, nca, textio
 from gcsl.core import Alphabet, Anchor, word
 from gcsl.grammar import Grammar
-from gcsl.nca import Move, NcaSystem, Rule
+from gcsl.nca import NcaSystem, Rule
 
 from conftest import FIXTURES, load
 from test_acceptance import HISTORY_POOL, dependency_closure, random_history, swappable
@@ -88,7 +88,7 @@ RIGHT = load("right_anchor.nca")
 class TestConstruction:
     def test_from_moves_validates(self, fg2):
         with pytest.raises(ValueError):
-            history.from_moves(fg2, word("a b"), [Move(0, 0)])
+            history.from_moves(fg2, word("a b"), [(0, 0)])
 
     @pytest.mark.parametrize("rule_index, position", [
         *(pytest.param(0, p, id=str(p)) for p in (-1, -2, 2, 3)),
@@ -96,12 +96,12 @@ class TestConstruction:
     ])
     def test_from_moves_rejects_out_of_range(self, fg2, rule_index, position):
         with pytest.raises(ValueError, match="illegal move"):
-            history.from_moves(fg2, word("a A b"), [Move(rule_index, position)])
+            history.from_moves(fg2, word("a A b"), [(rule_index, position)])
 
     @pytest.mark.parametrize("moves, message", [
-        ([(0, 0)], "Move(rule_index=0, position=0) on ('a', 'b')"),  # a is not last
-        ([(1, 2)], "Move(rule_index=1, position=2) on ('a', 'b')"),  # past the end
-        ([(1, 1), (1, 0)], "Move(rule_index=1, position=0) on ('a',)"),  # no b left
+        ([(0, 0)], "(0, 0) on ('a', 'b')"),  # a is not last
+        ([(1, 2)], "(1, 2) on ('a', 'b')"),  # past the end
+        ([(1, 1), (1, 0)], "(1, 0) on ('a',)"),  # no b left
     ])
     def test_illegal_move_message(self, moves, message):
         with pytest.raises(ValueError, match=f"^illegal move {re.escape(message)}$"):
@@ -207,7 +207,7 @@ class TestSwap:
         # x u y u' z pattern: both orders end at the same word
         h = history.from_moves(pair_system, word("a b a b"), [(0, 0), (0, 1)])
         h2 = history.swap_adjacent(h, 0)
-        assert history.moves_of(h2) == [Move(0, 2), Move(0, 0)]
+        assert history.moves_of(h2) == [(0, 2), (0, 0)]
         assert history.words_of(h)[-1] == history.words_of(h2)[-1] == word("T T")
 
     def test_dependent_pair_rejected(self, pair_system):
@@ -256,7 +256,7 @@ class TestAnchoredSwap:
     def test_swap_that_keeps_anchors_allowed(self):
         h = history.from_moves(RIGHT, word("b a"), [(1, 0), (0, 0)])
         g = history.swap_adjacent(h, 0)
-        assert history.moves_of(g) == [Move(0, 1), Move(1, 0)]
+        assert history.moves_of(g) == [(0, 1), (1, 0)]
         history.from_moves(RIGHT, h.start, history.moves_of(g))
 
     def test_reorder_refuses_to_break_an_anchor(self):
@@ -270,7 +270,7 @@ class TestCanonicalize:
         sys = make([Rule(word("a b"), ())])
         right_first = history.from_moves(sys, word("a b a b"), [(0, 2), (0, 0)])
         c = history.canonicalize(right_first)
-        assert history.moves_of(c) == [Move(0, 0), Move(0, 0)]
+        assert history.moves_of(c) == [(0, 0), (0, 0)]
 
     def test_already_canonical_unchanged(self, pair_system):
         h = history.from_moves(pair_system, word("a b a b"), [(0, 0), (0, 1)])
@@ -358,7 +358,7 @@ class TestReorder:
     def test_two_independent_events(self, pair_system):
         h = history.from_moves(pair_system, word("a b a b"), [(0, 2), (0, 0)])
         r = history.reorder_before(h, {1}, {0})
-        assert history.moves_of(r) == [Move(0, 0), Move(0, 1)]
+        assert history.moves_of(r) == [(0, 0), (0, 1)]
 
     def test_already_ordered_unchanged(self, pair_system):
         h = history.from_moves(pair_system, word("a b a b"), [(0, 0), (0, 1)])
@@ -375,7 +375,7 @@ class TestReorder:
         moves = history.moves_of(r)
         # the hoisted ancestor (originally second) comes first, then the
         # requested event, then the event pushed behind it
-        assert moves == [Move(0, 3), Move(1, 2), Move(0, 0)]
+        assert moves == [(0, 3), (1, 2), (0, 0)]
         # replaying the logged swaps reproduces the reordering
         g = h
         for i in swaps:
@@ -386,7 +386,7 @@ class TestReorder:
         # event 1 makes the T that event 2 consumes; only event 0 must move
         h = history.from_moves(pair_system, word("a a b b a b"), [(0, 4), (0, 1), (1, 0)])
         r, swaps = history.reorder_with_swaps(h, {1}, {0, 2})
-        assert history.moves_of(r) == [Move(0, 1), Move(0, 3), Move(1, 0)]
+        assert history.moves_of(r) == [(0, 1), (0, 3), (1, 0)]
         assert swaps == [0]
 
     def test_no_such_event(self, pair_system):

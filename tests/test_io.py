@@ -14,7 +14,7 @@ from gcsl.core import Alphabet, Anchor, check_symbol, word, word_str
 from gcsl.grammar import Grammar, Production
 from gcsl.nca import NcaSystem, Rule
 
-from conftest import FIXTURES, load
+from conftest import CARET_CLASH, FIXTURES, load
 
 
 def _is_symbol(name):
@@ -74,6 +74,9 @@ class TestParse:
             ("kind: nca\nterminals: a\nalphabet: a\nrules:\na b\n", "expected 'LHS -> RHS'", 5),
             ("kind: nca\nterminals: a\nalphabet: a\nrules:\na -> _ @mid\n", "unknown anchor", 5),
             ("kind: nca\nterminals: a\nalphabet: a\nrules:\na -> _ @none\n", "unknown anchor", 5),
+            # the anchor is the line's last token, though its text occurs earlier
+            ("kind: nca\nterminals: a\nalphabet: a x@lft b\nrules:\nx@lft -> b @lft\n",
+             "line 5, column 12: unknown anchor @lft", 5),
             ("kind: nca\nterminals: a\nkind: nca\n", "duplicate header", 3),
             ("kind: nca\nterminals: a\nalphabet: a\ncolor: red\n", "unknown header", 4),
             ("kind: nca\nalphabet: a\nrules:\n", "missing header 'terminals'", None),
@@ -544,6 +547,17 @@ class TestCli:
         assert cli.main(["convert", "--to", "nca", fx("both_anchor.egcsg"), "-o", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "start -> empty word production" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, to", [("egcsg", "standard"), ("nca", "gcsg")])
+    def test_convert_refuses_colliding_caret_names(self, kind, to, tmp_path, capsys):
+        src = tmp_path / f"clash.{kind}"
+        src.write_text(CARET_CLASH[kind], encoding="utf-8")
+        assert cli.main(["convert", "--to", to, str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "collide with each other: ['^b^']" in captured.err
+        out = tmp_path / "out"
+        assert cli.main(["convert", "--to", to, str(src), "-o", str(out)]) == 2
         assert not out.exists()
 
     def test_convert_type_mismatch(self, capsys):

@@ -9,9 +9,9 @@ import threading
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gcsl import cli, grammar, nca, textio, transforms
+from gcsl import cli, grammar, history, nca, textio, transforms
 from gcsl.core import Alphabet, Anchor, ValidationError, anchor_ok, splice, word
-from gcsl.nca import Budget, Move, NcaSystem, Rule, Status
+from gcsl.nca import Budget, NcaSystem, Rule, Status
 
 from conftest import FIXTURES, load, shortening_rules
 from test_core import occurrences
@@ -46,7 +46,7 @@ class TestValidate:
 class TestMoves:
     def test_legal_moves_order(self):
         sys = make([Rule(word("a b"), ())])
-        assert nca.legal_moves(sys, word("a b a b")) == [Move(0, 0), Move(0, 2)]
+        assert nca.legal_moves(sys, word("a b a b")) == [(0, 0), (0, 2)]
 
     def test_anchored_rule_blocked_inside(self, xanchor):
         assert nca.legal_moves(xanchor, word("x x")) == []
@@ -56,16 +56,16 @@ class TestMoves:
             [Rule(word("a b"), word("T")), Rule(word("a T b"), (), Anchor.BOTH)],
             working="a b T",
         )
-        assert nca.legal_moves(sys, word("a a b b")) == [Move(0, 1)]
+        assert nca.legal_moves(sys, word("a a b b")) == [(0, 1)]
 
     def test_apply(self):
         sys = make([Rule(word("a b"), word("T"))], working="a b T")
-        assert nca.apply_move(sys, word("a a b b"), Move(0, 1)) == word("a T b")
+        assert nca.apply_move(sys, word("a a b b"), (0, 1)) == word("a T b")
 
     def test_apply_illegal_rejected(self):
         sys = make([Rule(word("a b"), ())])
         with pytest.raises(ValueError):
-            nca.apply_move(sys, word("a b"), Move(0, 1))
+            nca.apply_move(sys, word("a b"), (0, 1))
 
     @pytest.mark.parametrize("rule_index, position", [
         *(pytest.param(0, p, id=str(p)) for p in (-1, -2, 2, 3)),
@@ -74,13 +74,13 @@ class TestMoves:
     def test_apply_out_of_range_rejected(self, rule_index, position):
         sys = make([Rule(word("a b"), ())])
         with pytest.raises(ValueError, match="illegal move"):
-            nca.apply_move(sys, word("a b"), Move(rule_index, position))
+            nca.apply_move(sys, word("a b"), (rule_index, position))
 
 
 def scan_moves(rules, w):
     """Every rule, every position: the move generator before the
     left-hand-side index, kept as the oracle."""
-    return [Move(i, pos) for i, r in enumerate(rules) for pos in occurrences(w, r.lhs, r.anchor)]
+    return [(i, pos) for i, r in enumerate(rules) for pos in occurrences(w, r.lhs, r.anchor)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,7 +135,7 @@ class TestRuleIndex:
         )
         w = word("a b a b")
         assert nca.legal_moves(sys, w) == scan_moves(sys.rules, w) == [
-            Move(0, 2), Move(1, 0), Move(1, 2), Move(2, 0), Move(2, 2), Move(3, 0)]
+            (0, 2), (1, 0), (1, 2), (2, 0), (2, 2), (3, 0)]
 
     def test_built_once_per_system(self, monkeypatch):
         calls = []
@@ -375,7 +375,7 @@ def deciding(name, to_gcsg):
 
 def replays_to_empty(sys, w, moves):
     for m in moves:
-        w = nca.apply_move(sys, w, Move._make(m))
+        w = nca.apply_move(sys, w, m)
     return w == ()
 
 
@@ -408,6 +408,52 @@ def every_system(max_len, s3_len):
         pytest.param("fg2.nca", True, max_len, id="nca_to_gcsg(fg2)"),
         pytest.param("right_anchor.nca", True, max_len, id="nca_to_gcsg(right_anchor)"),
     ]
+
+
+def plain_pairs(moves):
+    return all(type(m) is tuple and len(m) == 2 for m in moves)
+
+
+class TestPlainMoves:
+    """A move is a plain (rule index, position) tuple wherever the library
+    hands one out, and :func:`nca.apply_move` takes one as it is."""
+
+    def check(self, decide, sys, w):
+        d = decide(w, ORACLE_BUDGET)
+        assert d.accepted and plain_pairs(d.witness), w
+        assert replays_to_empty(sys, w, d.witness), w
+        assert plain_pairs(nca.legal_moves(sys, w))
+        assert plain_pairs(history.moves_of(history.from_moves(sys, w, d.witness)))
+
+    @pytest.mark.parametrize("name, to_gcsg, max_len", every_system(6, 4))
+    def test_fixtures(self, name, to_gcsg, max_len):
+        decide, _, sys, _ = deciding(name, to_gcsg)
+        words = nca.enumerate_language(sys, max_len) - {()}
+        assert words
+        for w in words:
+            self.check(decide, sys, w)
+
+    @pytest.mark.parametrize("name, to_gcsg, w, by_pass", [
+        ("fg2.nca", False, "a b A B b a B A", True),
+        ("anbn.gcsg", False, "a a b b", True),
+        ("right_anchor.nca", True, "a a a", False),
+    ])
+    def test_pass_and_search_witnesses(self, name, to_gcsg, w, by_pass):
+        decide, index, sys, _ = deciding(name, to_gcsg)
+        w = word(w)
+        assert (nca._greedy(index, w)[1] == ()) is by_pass
+        self.check(decide, sys, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_systems, small_words)
+    def test_random_systems(self, rules, w):
+        sys = make(rules, terminals="a b c")
+        assert plain_pairs(nca.legal_moves(sys, w))
+        for u in sorted(nca.enumerate_language(sys, 5))[1:20]:
+            self.check(functools.partial(nca.decide, sys), sys, u)
+
+    def test_apply_move_takes_a_plain_pair(self, fg2):
+        assert nca.apply_move(fg2, ("a", "A"), (0, 0)) == ()
 
 
 def per_length_tables(rules):
@@ -672,7 +718,7 @@ class TestGreedy:
         moves, rest = nca._greedy(fg2._index, w)
         assert rest == () and len(moves) == 10_000
         d = nca.decide(fg2, w)
-        assert d.accepted and d.witness == tuple(map(Move._make, moves))
+        assert d.accepted and d.witness == tuple(moves)
 
     def test_pass_needs_no_budget(self, fg2):
         w = word("a A a A a A")

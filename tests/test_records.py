@@ -15,7 +15,7 @@ from gcsl import history, nca
 from gcsl.core import Alphabet, Anchor, ValidationError, word
 from gcsl.grammar import Grammar, Production
 from gcsl.history import Event, Geometry, History
-from gcsl.nca import Budget, Decision, Move, NcaSystem, Rule, Status
+from gcsl.nca import Budget, Decision, NcaSystem, Rule, Status
 
 from conftest import FIXTURES, load
 
@@ -78,7 +78,7 @@ def values(fg2, fg2_history):
         Budget(max_nodes=5),
         Rule(lhs=["a", "b"], rhs=["c"], anchor=Anchor.LEFT),
         NcaSystem(fg2.alphabet, list(fg2.rules)),
-        Decision(Status.ACCEPTED, (Move(0, 1),)),
+        Decision(Status.ACCEPTED, ((0, 1),)),
         load("anbn.gcsg"),
         Event(0, 1, (1, 2), (3,)),
         History(fg2, fg2_history.start, fg2_history.events, fg2_history.symbols),

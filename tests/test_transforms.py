@@ -9,7 +9,7 @@ from gcsl.core import Alphabet, Anchor, word
 from gcsl.grammar import Grammar, Production
 from gcsl.nca import NcaSystem, Rule
 
-from conftest import FIXTURES, load, shortening_rules
+from conftest import CARET_CLASH, FIXTURES, load, shortening_rules
 
 
 def grammar_of(productions, terminals="a b", nonterminals="S T", start="S"):
@@ -111,6 +111,19 @@ class TestDeanchor:
         transforms.deanchor(g)
         monkeypatch.setattr(nca, "MAX_MEMO", 9)
         with pytest.raises(nca.BudgetExceededError, match="more than 9 productions"):
+            transforms.deanchor(g)
+
+    def test_colliding_caret_names_refused(self):
+        # merging b^ and ^b into one ^b^ would change the language
+        g = textio.parse_system(CARET_CLASH["egcsg"])
+        assert textio.language(g, 8) == {word("x x y y y")}
+        with pytest.raises(ValueError, match=r"collide with each other: \['\^b\^'\]"):
+            transforms.deanchor(g)
+
+    def test_caret_name_meeting_a_symbol_refused(self):
+        g = grammar_of([Production(word("S"), word("a")), Production(word("a"), word("b b"), Anchor.LEFT)],
+                       nonterminals="S ^a")
+        with pytest.raises(ValueError, match=r"collide with existing symbols: \['\^a'\]"):
             transforms.deanchor(g)
 
     def test_symbol_accounting(self):
@@ -237,6 +250,11 @@ class TestNcaToGcsg:
         sys = load("fg1.nca")
         back = transforms.gcsg_to_nca(transforms.nca_to_gcsg(sys))
         assert nca.enumerate_language(back, 6) == nca.enumerate_language(sys, 6)
+
+    def test_colliding_caret_names_refused(self):
+        s = textio.parse_system(CARET_CLASH["nca"])
+        with pytest.raises(ValueError, match=r"collide with each other: \['\^b\^'\]"):
+            transforms.nca_to_gcsg(s)
 
     def test_fresh_start_symbol(self):
         sys = NcaSystem(
