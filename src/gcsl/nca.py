@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections import Counter
 from typing import NamedTuple, Optional
 
 from .core import Alphabet, Anchor, ValidationError, Word, anchor_ok, occurs_at, splice
@@ -95,15 +94,28 @@ class RuleIndex:
 
     def __init__(self, rules: tuple[Rule, ...]):
         self.rules = rules
-        self.free_len = tuple(len(r.lhs) if r.anchor is Anchor.NONE else 0 for r in rules)
-        self.reach = max(self.free_len, default=0)
-        self.ends = max((len(r.lhs) for r in rules if r.anchor is not Anchor.NONE), default=0)
-        self.sided = any(r.anchor in (Anchor.LEFT, Anchor.RIGHT) for r in rules)
+        unanchored = Anchor.NONE
+        free_len = []
+        ends = 0
+        sided = False
+        first, last = [], []  # (left-hand side, rewrite): the anchored rules, the others
+        for i, (lhs, rhs, anchor) in enumerate(rules):
+            k = len(lhs)
+            if anchor is unanchored:
+                free_len.append(k)
+                last.append((lhs, (i, anchor, k, rhs[::-1])))
+            else:
+                free_len.append(0)
+                first.append((lhs, (i, anchor, k, rhs[::-1])))
+                ends = max(ends, k)
+                sided = sided or anchor is not Anchor.BOTH
+        self.free_len = tuple(free_len)
+        self.reach = max(free_len, default=0)
+        self.ends = ends
+        self.sided = sided
         own = self.own = {(): ()}
-        # a stable sort puts the anchored rules first, each in index order
-        for i in sorted(range(len(rules)), key=lambda i: rules[i].anchor is Anchor.NONE):
-            lhs, rhs, anchor = rules[i]
-            own[lhs] = own.get(lhs, ()) + ((i, anchor, len(lhs), rhs[::-1]),)
+        for lhs, rewrite in first + last:  # anchored first, each group in index order
+            own[lhs] = own.get(lhs, ()) + (rewrite,)
             for j in range(1, len(lhs)):
                 own.setdefault(lhs[:j], ())
         self.root = _State((), ())  # no left-hand side is empty
@@ -183,42 +195,48 @@ class NcaSystem(NamedTuple("NcaSystem", [("alphabet", Alphabet), ("rules", tuple
         return tuple((*key, RuleIndex(tuple(rs)), tuple(us)) for key, (rs, us) in groups.items())
 
     @functools.cached_property
-    def _lattice(self) -> tuple[tuple, tuple]:
+    def _lattice(self) -> tuple[dict, tuple]:
         """The lattice L spanned by the rows ``count(r.lhs) - count(r.rhs)``,
-        built on first use: the working symbols in column order, and an
-        echelon basis of L as (pivot column, row) pairs, in column order,
-        each row zero before its pivot and positive at it.  A rule changes
-        a word's count vector by minus its row, so every word that reduces
-        to the empty word has its count vector in L (Cohen, *A Course in
-        Computational Algebraic Number Theory*, 1993, §2.4)."""
-        symbols = sorted(self.alphabet.working)
-        column = {s: j for j, s in enumerate(symbols)}
+        built on first use: each working symbol's column, in sorted order,
+        and an echelon basis of L as (pivot column, row) pairs, in column
+        order, each row zero before its pivot and positive at it.  A rule
+        changes a word's count vector by minus its row, so every word that
+        reduces to the empty word has its count vector in L (Cohen, *A Course
+        in Computational Algebraic Number Theory*, 1993, §2.4)."""
+        column = {s: j for j, s in enumerate(sorted(self.alphabet.working))}
+        n = len(column)
         rows: dict = {}  # distinct rows, in rule order
-        for r in self.rules:
-            row = [0] * len(symbols)
-            for s in r.lhs:
+        for lhs, rhs, _ in self.rules:
+            row = [0] * n
+            for s in lhs:
                 row[column[s]] += 1
-            for s in r.rhs:
+            for s in rhs:
                 row[column[s]] -= 1
             rows[tuple(row)] = None
-        pivots: dict = {}
+        pivots: dict = {}  # pivot column: (row, the columns where it is not zero)
         for row in rows:
-            for j in range(len(row)):
+            row = list(row)
+            for j in range(n):
                 if not row[j]:
                     continue
-                pivot = pivots.get(j)
-                if pivot is None:
-                    pivots[j] = row if row[j] > 0 else [-x for x in row]
+                if j not in pivots:
+                    if row[j] < 0:
+                        row = [-x for x in row]
+                    pivots[j] = (row, [c for c in range(j, n) if row[c]])
                     break
-                # Euclid on column j by unimodular row steps: the pivot row
-                # ends with the gcd there, and the other row with zero
+                # Euclid on column j by unimodular row steps, each over the
+                # pivot row's non-zero columns: the pivot row ends with the
+                # gcd there, and the other row with zero
+                pivot, support = pivots[j]
                 while row[j]:
                     q = row[j] // pivot[j]
-                    row = [x - q * p for x, p in zip(row, pivot)]
+                    for c in support:
+                        row[c] -= q * pivot[c]
                     if row[j]:
                         pivot, row = row, pivot
-                pivots[j] = pivot
-        return tuple(symbols), tuple((j, tuple(row)) for j, row in sorted(pivots.items()))
+                        support = [c for c in range(j, n) if pivot[c]]
+                pivots[j] = (pivot, support)
+        return column, tuple((j, tuple(row)) for j, (row, _) in sorted(pivots.items()))
 
 
 class Status(enum.Enum):
@@ -388,9 +406,10 @@ def _in_lattice(sys: NcaSystem, w: Word) -> bool:
     """Does the count vector of ``w`` lie in ``sys._lattice``?  Reduced by
     each pivot row in turn, it must be divisible at the pivot and end as
     zero."""
-    symbols, pivots = sys._lattice
-    counts = Counter(w)
-    v = [counts[s] for s in symbols]
+    column, pivots = sys._lattice
+    v = [0] * len(column)
+    for s in w:
+        v[column[s]] += 1
     for j, row in pivots:
         q, rest = divmod(v[j], row[j])
         if rest:

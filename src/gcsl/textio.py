@@ -16,7 +16,7 @@ Format (``#`` starts a comment, symbols are whitespace-separated,
 from __future__ import annotations
 
 # ValidationError is re-exported: parse_system raises it next to ParseError
-from .core import (EMPTY_WORD_TOKEN, Alphabet, Anchor, ValidationError, Word, check_symbol, word,
+from .core import (EMPTY_WORD_TOKEN, Alphabet, Anchor, ValidationError, Word, check_symbol,
                    word_str)
 from . import grammar as grammar_mod
 from . import history as history_mod
@@ -45,26 +45,40 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _parse_word(text: str, lineno) -> Word:
-    try:
-        return word(text)
-    except ValueError as e:
-        raise ParseError(str(e), lineno)
+def _column(raw: str, at: int) -> int:
+    """The column, counted from 1 in the file's line ``raw``, of character
+    ``at`` of its text as :func:`_strip` leaves it."""
+    return len(raw) - len(raw.lstrip()) + at + 1
 
 
-def _parse_rule_line(text: str, lineno: int) -> Rule:
-    if "->" not in text:
-        raise ParseError("expected 'LHS -> RHS'", lineno, 1)
-    left, right = text.split("->", 1)
+def _parse_word(tokens: list, lineno, known: set) -> Word:
+    """The word of ``tokens``, a single ``_`` being the empty word.  A token
+    not in ``known`` is checked, in order, and added to it, so a file's
+    first bad token is reported and each distinct symbol is checked once."""
+    if tokens == [EMPTY_WORD_TOKEN]:
+        return ()
+    for t in tokens:
+        if t not in known:
+            try:
+                known.add(check_symbol(t))
+            except ValueError as e:
+                raise ParseError(str(e), lineno)
+    return tuple(tokens)
+
+
+def _parse_rule_line(text: str, lineno: int, raw: str, known: set) -> Rule:
+    left, arrow, right = text.partition("->")
+    if not arrow:
+        raise ParseError("expected 'LHS -> RHS'", lineno, _column(raw, 0))
     rtokens = right.split()
     anchor = Anchor.NONE
     if rtokens and rtokens[-1].startswith("@"):
         tok = rtokens.pop()
         if tok not in _ANCHORS:
-            raise ParseError(f"unknown anchor {tok}", lineno, text.rindex(tok) + 1)
+            raise ParseError(f"unknown anchor {tok}", lineno, _column(raw, text.rindex(tok)))
         anchor = _ANCHORS[tok]
-    lhs = _parse_word(left, lineno)
-    rhs = _parse_word(" ".join(rtokens), lineno)
+    lhs = _parse_word(left.split(), lineno, known)
+    rhs = _parse_word(rtokens, lineno, known)
     try:
         return Rule(lhs, rhs, anchor)
     except ValueError as e:
@@ -79,7 +93,7 @@ def parse_system(text: str):
     :class:`ValidationError`, which lists every violation.
     """
     headers: dict[str, tuple[str, int]] = {}
-    body: list[tuple[str, int]] = []
+    body: list[tuple[str, int, str]] = []
     in_body = False
     body_key = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -99,15 +113,22 @@ def parse_system(text: str):
                 raise ParseError(f"duplicate header {key!r}", lineno)
             headers[key] = (value.strip(), lineno)
         elif in_body:
-            body.append((line, lineno))
+            body.append((line, lineno, raw))
         else:
-            raise ParseError(f"expected 'key: value' header, got {line!r}", lineno, 1)
+            raise ParseError(f"expected 'key: value' header, got {line!r}", lineno, _column(raw, 0))
 
     def take(key):
         """The value of a required header, and its line number."""
         if key not in headers:
             raise ParseError(f"missing header {key!r}")
         return headers.pop(key)
+
+    known: set = set()  # the symbols checked so far
+
+    def take_word(key):
+        """The word of a required header, and its line number."""
+        value, lineno = take(key)
+        return _parse_word(value.split(), lineno, known), lineno
 
     kind, _ = take("kind")
     if kind not in ("nca", "gcsg", "egcsg"):
@@ -116,11 +137,10 @@ def parse_system(text: str):
     if kind == "nca":
         if body_key not in (None, "rules"):
             raise ParseError(f"kind nca expects a 'rules:' section, got '{body_key}:'")
-        terminals_text, terminals_line = take("terminals")
-        terminals = _parse_word(terminals_text, terminals_line)
-        working = _parse_word(*take("alphabet"))
+        terminals, terminals_line = take_word("terminals")
+        working, _ = take_word("alphabet")
         _reject_unknown(headers)
-        rules = tuple(_parse_rule_line(line, no) for line, no in body)
+        rules = tuple(_parse_rule_line(line, no, raw, known) for line, no, raw in body)
         try:
             alphabet = Alphabet(frozenset(terminals), frozenset(working))
         except ValueError as e:
@@ -129,8 +149,8 @@ def parse_system(text: str):
 
     if body_key not in (None, "productions"):
         raise ParseError(f"kind {kind} expects a 'productions:' section, got '{body_key}:'")
-    terminals = _parse_word(*take("terminals"))
-    nonterminals = _parse_word(*take("nonterminals"))
+    terminals, _ = take_word("terminals")
+    nonterminals, _ = take_word("nonterminals")
     start, start_line = take("start")
     try:
         check_symbol(start)
@@ -138,8 +158,8 @@ def parse_system(text: str):
         raise ParseError(str(e), start_line)
     _reject_unknown(headers)
     productions = []
-    for line, no in body:
-        p = _parse_rule_line(line, no)
+    for line, no, raw in body:
+        p = _parse_rule_line(line, no, raw, known)
         if p.anchor is not Anchor.NONE and kind == "gcsg":
             raise ParseError("anchored production in a kind gcsg file (use kind egcsg)", no)
         productions.append(p)

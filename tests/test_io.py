@@ -29,6 +29,68 @@ def fx(name):
     return str(FIXTURES / name)
 
 
+_N = "kind: nca\nterminals: a b\nalphabet: a b T\nrules:\n"
+_G = "kind: gcsg\nterminals: a b\nnonterminals: S T\nstart: S\nproductions:\n"
+_RESERVED = "'_' is reserved for the empty word"
+_BAD_NAME = "symbol name contains '#' or '->', or starts with '@'"
+
+# Malformed files and what parsing each raises: the error's type, its text,
+# line and column.  A column counts the characters of the file's own line,
+# its indent included.
+MALFORMED = [
+    # a bad token first seen in a rule
+    (_N + "a _ -> b\n", "ParseError", f"line 5: {_RESERVED}", 5, None),
+    (_N + "a -> b -> c\n", "ParseError", f"line 5: {_BAD_NAME}: '->'", 5, None),
+    (_N + "a b -> _ @both @left\n", "ParseError", f"line 5: {_RESERVED}", 5, None),
+    (_N + "  a -> _ _\n", "ParseError", f"line 5: {_RESERVED}", 5, None),
+    (_N + "a b -> T\nb x#y -> _\n", "ParseError", "line 6, column 1: expected 'LHS -> RHS'", 6, 1),
+    (_N + "a b\n", "ParseError", "line 5, column 1: expected 'LHS -> RHS'", 5, 1),
+    # a valid symbol outside the alphabet is the system's error, not the parser's
+    (_N + "a b -> c\n", "ValidationError", "rule 0: symbol outside working alphabet: c", None, None),
+    (_N + "a b -> _\nb c -> a c d\n", "ValidationError",
+     "rule 1: not length-reducing (2 <= 3); rule 1: symbol outside working alphabet: c; "
+     "rule 1: symbol outside working alphabet: c; rule 1: symbol outside working alphabet: d",
+     None, None),
+    (_N + "a b -> c\nb @x -> _\n", "ParseError", f"line 6: {_BAD_NAME}: '@x'", 6, None),
+    (_G + "S -> a c\n", "ValidationError", "production 0: symbol outside alphabet: c", None, None),
+    # one bad token on two lines: the first is reported
+    (_N + "a @x -> _\na @x -> _\n", "ParseError", f"line 5: {_BAD_NAME}: '@x'", 5, None),
+    (_N + "a -> _\na b -> _ @x\nb a -> _ @x\n", "ParseError", "line 6, column 10: unknown anchor @x", 6, 10),
+    # an empty left-hand side before a bad token on a later line
+    (_N + "a b -> _\n_ -> a\nb c@ -> _\na @q -> _\n", "ParseError", "line 6: empty left hand side", 6, None),
+    (_G + "_ -> a\nS -> a ->\n", "ParseError", "line 6: empty left hand side", 6, None),
+    (_N + "  _ -> _\n", "ParseError", "line 5: empty left hand side", 5, None),
+    # bad headers, reported before any rule
+    ("kind: nca\nterminals: a _\nalphabet: a\nrules:\n", "ParseError", f"line 2: {_RESERVED}", 2, None),
+    ("kind: nca\nterminals: a\nalphabet: a ->\nrules:\n", "ParseError", f"line 3: {_BAD_NAME}: '->'", 3, None),
+    ("kind: gcsg\nterminals: a\nnonterminals: S\nstart: S T\nproductions:\n", "ParseError",
+     "line 4: symbol name contains whitespace: 'S T'", 4, None),
+    # a rule's error comes before the alphabet's
+    ("kind: nca\nterminals: a b\nalphabet: a\nrules:\na -> _\nb x@ -> _ @y\n", "ParseError",
+     "line 6, column 11: unknown anchor @y", 6, 11),
+    ("kind: nca\nterminals: a b\nalphabet: a\nrules:\na b -> _\n", "ParseError",
+     "line 2: terminals not in working alphabet: ['b']", 2, None),
+    # productions are read in order, the kind check with each
+    (_G + "S -> a T b\nT -> a b @left\nT -> a _\n", "ParseError",
+     "line 7: anchored production in a kind gcsg file (use kind egcsg)", 7, None),
+    (_G + "S -> a T b\nT -> a _\nT -> a b @left\n", "ParseError", f"line 7: {_RESERVED}", 7, None),
+    (_G.replace("gcsg", "egcsg") + "S -> a T b\nT -> a _ @left\n", "ParseError",
+     f"line 7: {_RESERVED}", 7, None),
+    # columns within the file's own line: indents and comments
+    (_N + "    a b\n", "ParseError", "line 5, column 5: expected 'LHS -> RHS'", 5, 5),
+    ("  nonsense\n", "ParseError", "line 1, column 3: expected 'key: value' header, got 'nonsense'", 1, 3),
+    (_N + "    a -> _ @mid\n", "ParseError", "line 5, column 12: unknown anchor @mid", 5, 12),
+    (_N + "\ta -> _ @mid\n", "ParseError", "line 5, column 9: unknown anchor @mid", 5, 9),
+    (_N + "  a a -> _ @mid # x @mid\n", "ParseError", "line 5, column 12: unknown anchor @mid", 5, 12),
+    (_N + "  a a -> _ @mid# x @mid\n", "ParseError", "line 5, column 12: unknown anchor @mid", 5, 12),
+    (_N + "\t a -> _ @\n", "ParseError", "line 5, column 10: unknown anchor @", 5, 10),
+    (_G.replace("gcsg", "egcsg") + "  S -> a T b @rgt\n", "ParseError",
+     "line 6, column 14: unknown anchor @rgt", 6, 14),
+    ("  kind: nca\n  terminals: a\n  alphabet: a\n  rules:\n  a -> _ @bad\n", "ParseError",
+     "line 5, column 10: unknown anchor @bad", 5, 10),
+]
+
+
 class TestParse:
     def test_nca_fixture(self, fg2):
         assert isinstance(fg2, NcaSystem)
@@ -109,6 +171,24 @@ class TestParse:
         bad = "kind: nca\nterminals: a\nalphabet: a\nrules:\na -> a a\n"
         with pytest.raises(textio.ValidationError, match="not length-reducing"):
             textio.parse_system(bad)
+
+    @pytest.mark.parametrize("text, error, message, line, column", MALFORMED)
+    def test_malformed_files(self, text, error, message, line, column):
+        # each error keeps its type, message, line and column exactly
+        with pytest.raises((textio.ParseError, textio.ValidationError)) as e:
+            textio.parse_system(text)
+        assert type(e.value).__name__ == error
+        assert str(e.value) == message
+        assert (getattr(e.value, "line", None), getattr(e.value, "column", None)) == (line, column)
+
+    @pytest.mark.parametrize("indent, column", [("", 8), ("    ", 12), ("\t", 9), ("\t  ", 11)])
+    def test_columns_count_the_indent(self, indent, column):
+        text = f"kind: nca\nterminals: a\nalphabet: a\nrules:\n{indent}a -> _ @mid\n"
+        with pytest.raises(textio.ParseError) as e:
+            textio.parse_system(text)
+        assert (e.value.line, e.value.column) == (5, column)
+        assert text.splitlines()[4][column - 1:].startswith("@mid")
+
 
 
 # one invalid system of each kind, with two violations each: built directly,

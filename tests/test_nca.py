@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -150,6 +151,43 @@ class TestRuleIndex:
     def test_empty_lhs_rejected(self):
         with pytest.raises(ValueError, match="empty left hand side"):
             Rule((), word("a"))
+
+    @settings(max_examples=300)
+    @given(st.lists(shortening_rules("ab"), max_size=10).map(tuple))
+    def test_random_systems_match_reference_tables(self, rules):
+        # left-hand sides over two letters share prefixes, at every anchor
+        assert index_tables(nca.RuleIndex(rules)) == reference_index_tables(rules)
+
+    @pytest.mark.parametrize("name, to_gcsg", [
+        *((p.name, False) for p in sorted(FIXTURES.glob("*.nca"))),
+        pytest.param("s3.nca", True, id="nca_to_gcsg(s3)"),
+        pytest.param("right_anchor.nca", True, id="nca_to_gcsg(right_anchor)"),
+        ("left_anchor.egcsg", False), ("both_anchor.egcsg", False),
+    ])
+    def test_fixtures_match_reference_tables(self, name, to_gcsg):
+        index, _ = indexed_rules(name, to_gcsg)
+        assert index_tables(index) == reference_index_tables(index.rules)
+
+
+def index_tables(index):
+    return index.free_len, index.reach, index.ends, index.sided, list(index.own.items())
+
+
+def reference_index_tables(rules):
+    """A rule index's tables as its constructor built them before it read
+    the rules in one loop, kept as the oracle: ``own`` in its key order."""
+    free_len = tuple(len(r.lhs) if r.anchor is Anchor.NONE else 0 for r in rules)
+    reach = max(free_len, default=0)
+    ends = max((len(r.lhs) for r in rules if r.anchor is not Anchor.NONE), default=0)
+    sided = any(r.anchor in (Anchor.LEFT, Anchor.RIGHT) for r in rules)
+    own = {(): ()}
+    # a stable sort puts the anchored rules first, each in index order
+    for i in sorted(range(len(rules)), key=lambda i: rules[i].anchor is Anchor.NONE):
+        lhs, rhs, anchor = rules[i]
+        own[lhs] = own.get(lhs, ()) + ((i, anchor, len(lhs), rhs[::-1]),)
+        for j in range(1, len(lhs)):
+            own.setdefault(lhs[:j], ())
+    return free_len, reach, ends, sided, list(own.items())
 
 
 small_systems = st.lists(shortening_rules(), min_size=1, max_size=8).map(tuple)
@@ -843,6 +881,109 @@ class TestLattice:
             assert nca._in_lattice(sys, nca.apply_move(sys, w, m)) == inside
         terminal = tuple(s for s in w if s != "T")
         check_against_search(functools.partial(nca.decide, sys), sys._index, sys, terminal)
+
+
+def reference_lattice(sys):
+    """The lattice as ``NcaSystem._lattice`` built it before it reduced
+    over the pivot rows' non-zero columns alone, kept as the oracle: the
+    symbols in column order and the echelon basis."""
+    symbols = sorted(sys.alphabet.working)
+    column = {s: j for j, s in enumerate(symbols)}
+    rows: dict = {}
+    for r in sys.rules:
+        row = [0] * len(symbols)
+        for s in r.lhs:
+            row[column[s]] += 1
+        for s in r.rhs:
+            row[column[s]] -= 1
+        rows[tuple(row)] = None
+    pivots: dict = {}
+    for row in rows:
+        for j in range(len(row)):
+            if not row[j]:
+                continue
+            pivot = pivots.get(j)
+            if pivot is None:
+                pivots[j] = row if row[j] > 0 else [-x for x in row]
+                break
+            while row[j]:
+                q = row[j] // pivot[j]
+                row = [x - q * p for x, p in zip(row, pivot)]
+                if row[j]:
+                    pivot, row = row, pivot
+            pivots[j] = pivot
+    return tuple(symbols), tuple((j, tuple(row)) for j, row in sorted(pivots.items()))
+
+
+def reference_in_lattice(sys, w):
+    """The lattice test as it was before it counted into a list, kept as
+    the oracle: a ``Counter`` of the word, reduced by each pivot row."""
+    symbols, pivots = reference_lattice(sys)
+    counts = Counter(w)
+    v = [counts[s] for s in symbols]
+    for j, row in pivots:
+        q, rest = divmod(v[j], row[j])
+        if rest:
+            return False
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+@st.composite
+def lattice_cases(draw):
+    """A system of up to 8 shortening rules over a b c T, left-hand sides
+    of up to 5 letters, so that rows hold entries up to 5 and the Euclid
+    steps swap rows; and a word over a b c T, a third of them of 500 to
+    1 500 letters."""
+    rules = []
+    for _ in range(draw(st.integers(1, 8))):
+        lhs = draw(st.lists(st.sampled_from("abcT"), min_size=1, max_size=5))
+        rhs = draw(st.lists(st.sampled_from("abcT"), max_size=len(lhs) - 1))
+        rules.append(Rule(tuple(lhs), tuple(rhs), draw(st.sampled_from(list(Anchor)))))
+    sys = make(rules, terminals="a b c", working="a b c T")
+    if draw(st.integers(0, 2)):
+        w = tuple(draw(st.lists(st.sampled_from("abcT"), max_size=12)))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        w = tuple(rng.choices("abcT", k=rng.randint(500, 1500)))
+    return sys, w
+
+
+class TestLatticeAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_cases())
+    def test_random_systems(self, case):
+        sys, w = case
+        symbols, pivots = reference_lattice(sys)
+        column, new_pivots = sys._lattice
+        assert (list(column), new_pivots) == (list(symbols), pivots)
+        assert list(column.values()) == list(range(len(symbols)))
+        assert nca._in_lattice(sys, w) == reference_in_lattice(sys, w)
+
+    @pytest.mark.parametrize("rules", [
+        # a a a then a a: the Euclid steps swap the rows twice, to gcd 1
+        [Rule(word("a a a"), ()), Rule(word("a a"), ())],
+        [Rule(word("a a a b b"), ()), Rule(word("a a b b b"), word("c")), Rule(word("b b"), word("a"))],
+    ])
+    def test_euclid_steps(self, rules):
+        sys = make(rules, terminals="a b", working="a b c")
+        assert sys._lattice[1] == reference_lattice(sys)[1]
+        for n in range(7):
+            for w in itertools.product("ab", repeat=n):
+                assert nca._in_lattice(sys, w) == reference_in_lattice(sys, w)
+
+    @pytest.mark.parametrize("name", ["s3.nca", "fg2.nca"])
+    def test_long_fixture_words(self, name):
+        sys = load(name)
+        letters = sorted(sys.alphabet.terminals)
+        rng = random.Random(7)
+        for n in (1, 2, 3, 600, 1200):
+            for _ in range(20):
+                w = tuple(rng.choices(letters, k=n))
+                assert nca._in_lattice(sys, w) == reference_in_lattice(sys, w)
+                rest = nca._greedy(sys._index, w)[1]
+                assert nca._in_lattice(sys, rest) == reference_in_lattice(sys, rest)
 
 
 class TestMemoCap:
