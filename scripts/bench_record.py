@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end results for every workload in one file.
 
-    python3 scripts/bench_record.py PR [--seed N] [--seconds S] [--output PATH]
+    python3 scripts/bench_record.py PR [--seconds S] [--output PATH]
 
-Runs ``perfbench/run.py --workload W --seed N --seconds S --trace 0`` once
+Runs ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` once
 for each workload that BENCHMARK.json lists, one after another, and writes
 ``BENCH_<PR>.json`` at the root of the checkout (or PATH): the commit, the
 Python version, the seed, the run length, the CPU count and, per workload,
-the JSON line the run printed last.  Run it from a clean checkout, so that
+the JSON line the run printed last.  A run's own errors go to stderr as
+they come.  Run it from a clean checkout, so that
 the commit names the code that was measured; a tree with changes is marked
 ``"dirty": true``.
 
@@ -26,6 +27,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1  # every record uses the same workload draws, so records compare
 
 
 def _git(*args) -> str:
@@ -33,18 +35,17 @@ def _git(*args) -> str:
                           text=True).stdout.strip()
 
 
-def run_workload(name: str, seed: int, seconds: float) -> dict:
+def run_workload(name: str, seconds: float) -> dict:
     """The result line of one untraced run of ``name``."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+    argv = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
             "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    out = subprocess.run(argv, cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("pr", help="the number that names the file BENCH_<PR>.json")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--output", type=Path, help="where to write (default BENCH_<PR>.json)")
     args = parser.parse_args(argv)
@@ -56,13 +57,13 @@ def main(argv=None) -> int:
         "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": args.seconds,
         "workloads": {},
     }
     ok = True
     for w in spec["workloads"]:
-        result = run_workload(w["name"], args.seed, args.seconds)
+        result = run_workload(w["name"], args.seconds)
         record["workloads"][w["name"]] = result
         print(f"{w['name']}: {json.dumps(result)}")
         ok = ok and result["correct"] is True and result["failed"] == 0

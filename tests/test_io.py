@@ -79,8 +79,10 @@ MALFORMED = [
     # columns within the file's own line: indents and comments
     (_N + "    a b\n", "ParseError", "line 5, column 5: expected 'LHS -> RHS'", 5, 5),
     ("  nonsense\n", "ParseError", "line 1, column 3: expected 'key: value' header, got 'nonsense'", 1, 3),
+    (_N + "a -> _ @mid\n", "ParseError", "line 5, column 8: unknown anchor @mid", 5, 8),
     (_N + "    a -> _ @mid\n", "ParseError", "line 5, column 12: unknown anchor @mid", 5, 12),
     (_N + "\ta -> _ @mid\n", "ParseError", "line 5, column 9: unknown anchor @mid", 5, 9),
+    (_N + "\t  a -> _ @mid\n", "ParseError", "line 5, column 11: unknown anchor @mid", 5, 11),
     (_N + "  a a -> _ @mid # x @mid\n", "ParseError", "line 5, column 12: unknown anchor @mid", 5, 12),
     (_N + "  a a -> _ @mid# x @mid\n", "ParseError", "line 5, column 12: unknown anchor @mid", 5, 12),
     (_N + "\t a -> _ @\n", "ParseError", "line 5, column 10: unknown anchor @", 5, 10),
@@ -180,15 +182,6 @@ class TestParse:
         assert type(e.value).__name__ == error
         assert str(e.value) == message
         assert (getattr(e.value, "line", None), getattr(e.value, "column", None)) == (line, column)
-
-    @pytest.mark.parametrize("indent, column", [("", 8), ("    ", 12), ("\t", 9), ("\t  ", 11)])
-    def test_columns_count_the_indent(self, indent, column):
-        text = f"kind: nca\nterminals: a\nalphabet: a\nrules:\n{indent}a -> _ @mid\n"
-        with pytest.raises(textio.ParseError) as e:
-            textio.parse_system(text)
-        assert (e.value.line, e.value.column) == (5, column)
-        assert text.splitlines()[4][column - 1:].startswith("@mid")
-
 
 
 # one invalid system of each kind, with two violations each: built directly,

@@ -884,9 +884,9 @@ class TestLattice:
 
 
 def reference_lattice(sys):
-    """The lattice as ``NcaSystem._lattice`` built it before it reduced
-    over the pivot rows' non-zero columns alone, kept as the oracle: the
-    symbols in column order and the echelon basis."""
+    """The lattice as ``NcaSystem._lattice`` built it before it held each
+    symbol's column, kept as the oracle: the symbols in column order and
+    the echelon basis."""
     symbols = sorted(sys.alphabet.working)
     column = {s: j for j, s in enumerate(symbols)}
     rows: dict = {}

@@ -20,13 +20,13 @@ class TestBenchRecord:
     def run(self, module, results, tmp_path, capsys):
         calls = []
 
-        def run_workload(name, seed, seconds):
-            calls.append((name, seed, seconds))
+        def run_workload(name, seconds):
+            calls.append((name, seconds))
             return results.get(name, {"correct": True, "failed": 0, "metrics": {}})
 
         module.run_workload = run_workload
         out = tmp_path / "BENCH_7.json"
-        code = module.main(["7", "--seed", "3", "--seconds", "2", "--output", str(out)])
+        code = module.main(["7", "--seconds", "2", "--output", str(out)])
         capsys.readouterr()
         return code, json.loads(out.read_text()), calls
 
@@ -34,10 +34,10 @@ class TestBenchRecord:
         code, record, calls = self.run(bench_record, {}, tmp_path, capsys)
         names = ["s3-decide", "fg2-deep", "gcsg-member", "trace-canonical"]
         assert code == 0
-        assert calls == [(name, 3, 2.0) for name in names]
+        assert calls == [(name, 2.0) for name in names]
         assert list(record["workloads"]) == names
         assert {k: record[k] for k in ("pr", "commit", "dirty", "seed", "seconds")} == {
-            "pr": "7", "commit": "abc123", "dirty": False, "seed": 3, "seconds": 2.0}
+            "pr": "7", "commit": "abc123", "dirty": False, "seed": 1, "seconds": 2.0}
 
     @pytest.mark.parametrize("result", [{"correct": False, "failed": 0},
                                         {"correct": True, "failed": 1}])
