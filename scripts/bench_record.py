@@ -7,13 +7,13 @@ Runs ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` once
 for each workload that BENCHMARK.json lists, one after another, and writes
 ``BENCH_<PR>.json`` at the root of the checkout (or PATH): the commit, the
 Python version, the seed, the run length, the CPU count and, per workload,
-the JSON line the run printed last.  A run's own errors go to stderr as
-they come.  Run it from a clean checkout, so that
+the JSON line the run printed last.  Run it from a clean checkout, so that
 the commit names the code that was measured; a tree with changes is marked
 ``"dirty": true``.
 
 Exits 1 when some workload is not ``correct`` or has failed operations, after
-writing the file, and 0 otherwise.
+writing the file, and 0 otherwise.  A run that exits non-zero stops the
+script with no file written; its own errors are on stderr as it printed them.
 """
 
 from __future__ import annotations

@@ -400,9 +400,9 @@ def _in_lattice(sys: NcaSystem, w: Word) -> bool:
     """Does the count vector of ``w`` lie in ``sys._lattice``?  Reduced by
     each pivot row in turn, it must be divisible at the pivot and end as
     zero.  Counting through the column map takes half the time of a
-    ``Counter`` on the short rests most rejections leave, and half as long
-    again on rests of hundreds of letters, whose pass costs several times
-    the count."""
+    ``Counter`` on the short rests most rejections leave, and up to half as
+    long again on rests of hundreds of letters, whose pass costs several
+    times the count."""
     column, pivots = sys._lattice
     v = [0] * len(column)
     for s in w:
