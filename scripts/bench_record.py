@@ -8,8 +8,9 @@ for each workload that BENCHMARK.json lists, one after another, and writes
 ``BENCH_<PR>.json`` at the root of the checkout (or PATH): the commit, the
 Python version, the seed, the run length, the CPU count and, per workload,
 the JSON line the run printed last.  Run it from a clean checkout, so that
-the commit names the code that was measured; a tree with changes is marked
-``"dirty": true``.
+the commit names the code that was measured; a tree with changes to tracked
+files is marked ``"dirty": true``.  The file being written is left out of that
+check, so that recording again over an earlier record stays clean.
 
 Exits 1 when some workload is not ``correct`` or has failed operations, after
 writing the file, and 0 otherwise.  A run that exits non-zero stops the
@@ -51,10 +52,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    output = (args.output or ROOT / f"BENCH_{args.pr}.json").resolve()
+    changed = _git("diff", "HEAD", "--name-only").splitlines()
     record = {
         "pr": args.pr,
         "commit": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "dirty": any(ROOT / name != output for name in changed),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "seed": SEED,
@@ -67,7 +70,6 @@ def main(argv=None) -> int:
         record["workloads"][w["name"]] = result
         print(f"{w['name']}: {json.dumps(result)}")
         ok = ok and result["correct"] is True and result["failed"] == 0
-    output = args.output or ROOT / f"BENCH_{args.pr}.json"
     output.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {output}")
     return 0 if ok else 1

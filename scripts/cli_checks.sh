@@ -103,6 +103,13 @@ sed 's/^kind: egcsg$/kind: gcsg/' fixtures/left_anchor.egcsg > "$tmp/anchored.gc
 rc=0; $GCSL validate "$tmp/anchored.gcsg" > "$tmp/validate.out" || rc=$?; test "$rc" -eq 2
 test ! -s "$tmp/validate.out"
 
+echo "== gcsl refuses the section of another kind, exit 2, empty stdout and the exact message"
+tmp=$(mktemp -d -p "$work")
+sed 's/^productions:$/rules:/' fixtures/left_anchor.egcsg > "$tmp/rules.egcsg"
+rc=0; $GCSL validate "$tmp/rules.egcsg" > "$tmp/validate.out" 2> "$tmp/validate.err" || rc=$?; test "$rc" -eq 2
+test ! -s "$tmp/validate.out"
+test "$(cat "$tmp/validate.err")" = "$tmp/rules.egcsg: kind egcsg expects a 'productions:' section, got 'rules:'"
+
 echo "== gcsl exits 2 with empty stdout on a non-UTF-8 file and an unwritable -o file"
 tmp=$(mktemp -d -p "$work")
 printf '\xff\xfekind: nca\n' > "$tmp/utf16.nca"

@@ -157,9 +157,12 @@ def cmd_trace(args) -> int:
 def _int_at_least(low: int):
     """An argparse type for integers of at least ``low``."""
     def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}: {text!r}")
-        return int(text)
+        try:
+            if text.isdecimal() and int(text) >= low:
+                return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {low}: {text!r}")
     return parse
 
 

@@ -94,26 +94,24 @@ def parse_system(text: str):
     """
     headers: dict[str, tuple[str, int]] = {}
     body: list[tuple[str, int, str]] = []
-    in_body = False
     body_key = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
             continue
-        if not in_body and ":" in line:
+        if body_key is not None:
+            body.append((line, lineno, raw))
+        elif ":" in line:
             key, _, value = line.partition(":")
             key = key.strip()
             if key in ("rules", "productions"):
                 if value.strip():
                     raise ParseError(f"'{key}:' takes no value on its line", lineno)
-                in_body = True
                 body_key = key
-                continue
-            if key in headers:
+            elif key in headers:
                 raise ParseError(f"duplicate header {key!r}", lineno)
-            headers[key] = (value.strip(), lineno)
-        elif in_body:
-            body.append((line, lineno, raw))
+            else:
+                headers[key] = (value.strip(), lineno)
         else:
             raise ParseError(f"expected 'key: value' header, got {line!r}", lineno, _column(raw, 0))
 
@@ -133,75 +131,59 @@ def parse_system(text: str):
     kind, _ = take("kind")
     if kind not in ("nca", "gcsg", "egcsg"):
         raise ParseError(f"unknown kind {kind!r}")
-
+    section = "rules" if kind == "nca" else "productions"
+    if body_key not in (None, section):
+        raise ParseError(f"kind {kind} expects a '{section}:' section, got '{body_key}:'")
+    terminals, terminals_line = take_word("terminals")
     if kind == "nca":
-        if body_key not in (None, "rules"):
-            raise ParseError(f"kind nca expects a 'rules:' section, got '{body_key}:'")
-        terminals, terminals_line = take_word("terminals")
         working, _ = take_word("alphabet")
-        _reject_unknown(headers)
-        rules = tuple(_parse_rule_line(line, no, raw, known) for line, no, raw in body)
+    else:
+        nonterminals, _ = take_word("nonterminals")
+        start, start_line = take("start")
         try:
-            alphabet = Alphabet(frozenset(terminals), frozenset(working))
+            check_symbol(start)
         except ValueError as e:
-            raise ParseError(str(e), terminals_line)
-        return NcaSystem(alphabet, rules)
-
-    if body_key not in (None, "productions"):
-        raise ParseError(f"kind {kind} expects a 'productions:' section, got '{body_key}:'")
-    terminals, _ = take_word("terminals")
-    nonterminals, _ = take_word("nonterminals")
-    start, start_line = take("start")
-    try:
-        check_symbol(start)
-    except ValueError as e:
-        raise ParseError(str(e), start_line)
-    _reject_unknown(headers)
-    productions = []
-    for line, no, raw in body:
-        p = _parse_rule_line(line, no, raw, known)
-        if p.anchor is not Anchor.NONE and kind == "gcsg":
-            raise ParseError("anchored production in a kind gcsg file (use kind egcsg)", no)
-        productions.append(p)
-    return Grammar(
-        nonterminals=frozenset(nonterminals),
-        terminals=frozenset(terminals),
-        start=start,
-        productions=tuple(productions),
-    )
-
-
-def _reject_unknown(headers):
+            raise ParseError(str(e), start_line)
     for key, (_, lineno) in headers.items():
         raise ParseError(f"unknown header {key!r}", lineno)
-
-
-def _rule_line(lhs, rhs, anchor) -> str:
-    line = f"{word_str(lhs)} -> {word_str(rhs)}"
-    return line if anchor is Anchor.NONE else line + " @" + anchor.value
+    rules = []
+    for line, no, raw in body:
+        r = _parse_rule_line(line, no, raw, known)
+        if kind == "gcsg" and r.anchor is not Anchor.NONE:
+            raise ParseError("anchored production in a kind gcsg file (use kind egcsg)", no)
+        rules.append(r)
+    if kind != "nca":
+        return Grammar(frozenset(nonterminals), frozenset(terminals), start, tuple(rules))
+    try:
+        alphabet = Alphabet(frozenset(terminals), frozenset(working))
+    except ValueError as e:
+        raise ParseError(str(e), terminals_line)
+    return NcaSystem(alphabet, tuple(rules))
 
 
 def serialize_system(sys) -> str:
     """Text of a system: sorted symbol sections, rule lines in the system's
     order, and kind ``egcsg`` exactly when a production is anchored.
     Reparsing yields an equal system, rule order included."""
-    lines = []
     if isinstance(sys, NcaSystem):
-        lines.append("kind: nca")
-        lines.append("terminals: " + word_str(tuple(sorted(sys.alphabet.terminals))))
-        lines.append("alphabet: " + word_str(tuple(sorted(sys.alphabet.working))))
-        lines.append("rules:")
-        lines.extend(_rule_line(r.lhs, r.rhs, r.anchor) for r in sys.rules)
+        rules = sys.rules
+        lines = ["kind: nca",
+                 "terminals: " + word_str(sorted(sys.alphabet.terminals)),
+                 "alphabet: " + word_str(sorted(sys.alphabet.working)),
+                 "rules:"]
     elif isinstance(sys, Grammar):
-        anchored = any(p.anchor is not Anchor.NONE for p in sys.productions)
-        lines.append("kind: " + ("egcsg" if anchored else "gcsg"))
-        lines.append("terminals: " + word_str(tuple(sorted(sys.terminals))))
-        lines.append("nonterminals: " + word_str(tuple(sorted(sys.nonterminals))))
-        lines.append("start: " + sys.start)
-        lines.append("productions:")
-        lines.extend(_rule_line(p.lhs, p.rhs, p.anchor) for p in sys.productions)
+        rules = sys.productions
+        anchored = any(p.anchor is not Anchor.NONE for p in rules)
+        lines = ["kind: " + ("egcsg" if anchored else "gcsg"),
+                 "terminals: " + word_str(sorted(sys.terminals)),
+                 "nonterminals: " + word_str(sorted(sys.nonterminals)),
+                 "start: " + sys.start,
+                 "productions:"]
     else:
         raise TypeError(f"cannot serialize {type(sys).__name__}")
+    for r in rules:
+        line = f"{word_str(r.lhs)} -> {word_str(r.rhs)}"
+        lines.append(line if r.anchor is Anchor.NONE else line + " @" + r.anchor.value)
     return "\n".join(lines) + "\n"
 
 

@@ -33,6 +33,8 @@ _N = "kind: nca\nterminals: a b\nalphabet: a b T\nrules:\n"
 _G = "kind: gcsg\nterminals: a b\nnonterminals: S T\nstart: S\nproductions:\n"
 _RESERVED = "'_' is reserved for the empty word"
 _BAD_NAME = "symbol name contains '#' or '->', or starts with '@'"
+# more digits than int() converts from text by default
+_NINES = pytest.param("9" * 5000, id="5000-nines")
 
 # Malformed files and what parsing each raises: the error's type, its text,
 # line and column.  A column counts the characters of the file's own line,
@@ -90,6 +92,33 @@ MALFORMED = [
      "line 6, column 14: unknown anchor @rgt", 6, 14),
     ("  kind: nca\n  terminals: a\n  alphabet: a\n  rules:\n  a -> _ @bad\n", "ParseError",
      "line 5, column 10: unknown anchor @bad", 5, 10),
+    # the kind, then its section, then its headers in order, then unknown headers
+    ("kind: xyz\n", "ParseError", "unknown kind 'xyz'", None, None),
+    ("terminals: a\nalphabet: a\nrules:\n", "ParseError", "missing header 'kind'", None, None),
+    (_N.replace("rules:", "productions:"), "ParseError",
+     "kind nca expects a 'rules:' section, got 'productions:'", None, None),
+    (_G.replace("productions:", "rules:"), "ParseError",
+     "kind gcsg expects a 'productions:' section, got 'rules:'", None, None),
+    (_G.replace("gcsg", "egcsg").replace("productions:", "rules:"), "ParseError",
+     "kind egcsg expects a 'productions:' section, got 'rules:'", None, None),
+    (_N.replace("rules:", "color: red\nproductions:"), "ParseError",
+     "kind nca expects a 'rules:' section, got 'productions:'", None, None),
+    (_G.replace("productions:", "productions: x"), "ParseError",
+     "line 5: 'productions:' takes no value on its line", 5, None),
+    ("kind: xyz\ncolor: red\nrules: x\n", "ParseError", "line 3: 'rules:' takes no value on its line", 3, None),
+    (_G.replace("start: S\n", "start: S\nterminals: a\n"), "ParseError",
+     "line 5: duplicate header 'terminals'", 5, None),
+    (_G.replace("start: S\n", "start: S\ncolor: red\n") + "S -> a @x\n", "ParseError",
+     "line 5: unknown header 'color'", 5, None),
+    (_N.replace("rules:", "color: red\nrules:") + "a b\n", "ParseError",
+     "line 4: unknown header 'color'", 4, None),
+    (_N.replace("alphabet: a b T\n", "color: red\n"), "ParseError", "missing header 'alphabet'", None, None),
+    (_G.replace("nonterminals: S T\n", ""), "ParseError", "missing header 'nonterminals'", None, None),
+    (_G.replace("gcsg", "egcsg").replace("start: S\n", "color: red\n"), "ParseError",
+     "missing header 'start'", None, None),
+    (_G.replace("start: S\n", "start: _\ncolor: red\n"), "ParseError", f"line 4: {_RESERVED}", 4, None),
+    (_N.replace("terminals: a b\n", "terminals: a _\n").replace("alphabet: a b T\n", ""), "ParseError",
+     f"line 2: {_RESERVED}", 2, None),
 ]
 
 
@@ -232,11 +261,48 @@ def _with_conversions(system):
     return converted
 
 
+def reference_serialize_system(sys):
+    """``textio.serialize_system`` as it was, with a branch per kind that
+    writes its own rule lines."""
+    def rule_line(lhs, rhs, anchor):
+        line = f"{word_str(lhs)} -> {word_str(rhs)}"
+        return line if anchor is Anchor.NONE else line + " @" + anchor.value
+
+    lines = []
+    if isinstance(sys, NcaSystem):
+        lines.append("kind: nca")
+        lines.append("terminals: " + word_str(tuple(sorted(sys.alphabet.terminals))))
+        lines.append("alphabet: " + word_str(tuple(sorted(sys.alphabet.working))))
+        lines.append("rules:")
+        lines.extend(rule_line(r.lhs, r.rhs, r.anchor) for r in sys.rules)
+    elif isinstance(sys, Grammar):
+        anchored = any(p.anchor is not Anchor.NONE for p in sys.productions)
+        lines.append("kind: " + ("egcsg" if anchored else "gcsg"))
+        lines.append("terminals: " + word_str(tuple(sorted(sys.terminals))))
+        lines.append("nonterminals: " + word_str(tuple(sorted(sys.nonterminals))))
+        lines.append("start: " + sys.start)
+        lines.append("productions:")
+        lines.extend(rule_line(p.lhs, p.rhs, p.anchor) for p in sys.productions)
+    else:
+        raise TypeError(f"cannot serialize {type(sys).__name__}")
+    return "\n".join(lines) + "\n"
+
+
 class TestSerialize:
     @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.iterdir()))
     def test_round_trip(self, fixture):
         for system in _with_conversions(load(fixture)):
             assert textio.parse_system(textio.serialize_system(system)) == system
+
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.iterdir()))
+    def test_text_is_byte_identical(self, fixture):
+        for system in _with_conversions(load(fixture)):
+            assert textio.serialize_system(system) == reference_serialize_system(system)
+
+    def test_refuses_what_is_no_system(self):
+        for serialize in (textio.serialize_system, reference_serialize_system):
+            with pytest.raises(TypeError, match="cannot serialize Rule"):
+                serialize(Rule(word("a"), ()))
 
     @pytest.mark.parametrize("anchor, kind", [(Anchor.NONE, "gcsg"), (Anchor.LEFT, "egcsg")])
     def test_kind_follows_the_anchors(self, anchor, kind):
@@ -262,7 +328,9 @@ class TestSerialize:
         sys = NcaSystem(Alphabet(terminals, frozenset(letters)), tuple(rules))
         extended = transforms.nca_to_extended_gcsg(sys)
         for x in (sys, extended, transforms.deanchor(extended)):
-            assert textio.parse_system(textio.serialize_system(x)) == x
+            text = textio.serialize_system(x)
+            assert text == reference_serialize_system(x)
+            assert textio.parse_system(text) == x
 
     def test_rule_order_is_kept(self, fg2):
         def rule_lines(text):
@@ -458,7 +526,7 @@ class TestCli:
         assert cli.main(["decide", fx("anbn.gcsg"), "a a b b b a", "--max-nodes", "3"]) == 1
         assert cli.main(["decide", fx("anbn.gcsg"), "a a a b b", "--max-nodes", "1"]) == 1
 
-    @pytest.mark.parametrize("value", ["0", "-1", "x", "\u00b2"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x", "\u00b2", _NINES])
     def test_max_nodes_below_one_is_usage_error(self, value, capsys):
         assert cli.main(["decide", fx("fg2.nca"), "a A", "--max-nodes", value]) == 2
         assert "--max-nodes: expected an integer of at least 1" in capsys.readouterr().err
@@ -467,7 +535,7 @@ class TestCli:
         ["enumerate", fx("anbn.gcsg")],
         ["equiv", fx("fg2.nca"), fx("fg1.nca")],
     ])
-    @pytest.mark.parametrize("value", ["-3", "-1", "\u00b2"])
+    @pytest.mark.parametrize("value", ["-3", "-1", "\u00b2", _NINES])
     def test_max_len_below_zero_is_usage_error(self, argv, value, capsys):
         assert cli.main([*argv, "--max-len", value]) == 2
         captured = capsys.readouterr()

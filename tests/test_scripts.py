@@ -1,18 +1,25 @@
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def bench_record(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(module, "_git", lambda *args: "" if args[0] == "status" else "abc123")
+    module = _load(ROOT / "scripts" / "bench_record.py")
+    monkeypatch.setattr(module, "_git", lambda *args: "abc123" if args[0] == "rev-parse" else "")
     return module
 
 
@@ -45,3 +52,28 @@ class TestBenchRecord:
         code, record, _ = self.run(bench_record, {"gcsg-member": result}, tmp_path, capsys)
         assert code == 1
         assert record["workloads"]["gcsg-member"] == result
+
+    @pytest.mark.parametrize("edited, dirty", [
+        ([], False),
+        (["BENCH_7.json"], False),
+        (["scripts/bench_record.py"], True),
+        (["BENCH_7.json", "BENCHMARK.json"], True),
+    ])
+    def test_dirty_leaves_out_the_record_being_written(self, edited, dirty, tmp_path, capsys):
+        # a committed checkout holding an earlier BENCH_7.json, recorded again
+        root = tmp_path.resolve()
+        (root / "scripts").mkdir()
+        for name in ("BENCHMARK.json", "scripts/bench_record.py"):
+            shutil.copy(ROOT / name, root / name)
+        (root / "BENCH_7.json").write_text("{}\n")
+        git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@example.com",
+               "-c", "commit.gpgsign=false"]
+        for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "record"]):
+            subprocess.run([*git, *args], check=True, capture_output=True)
+        for name in edited:
+            with open(root / name, "a", encoding="utf-8") as f:
+                f.write("\n")
+        module = _load(root / "scripts" / "bench_record.py")
+        code, record, _ = self.run(module, {}, root, capsys)
+        assert code == 0
+        assert record["dirty"] is dirty
